@@ -21,7 +21,7 @@ from .curveinv import (
     elliptic_search,
     parity,
 )
-from .ffarith import Fq, ParseError, WorkBoundError, format_poly
+from .ffarith import Q_MAX, Fq, ParseError, WorkBoundError, format_poly
 from .qdiv import h0_weighted, log_canonical_divisor, presentation, rr_basis
 from .useries import SupportError, parse_useries, split
 from .weights import VanishingProfile, dim_gamma0T, type_solutions, valence_check
@@ -296,13 +296,14 @@ def cmd_ellsearch(args):
 
 
 def _add_common(sp):
-    sp.add_argument("--q", type=int, required=True, help="odd prime power")
+    sp.add_argument(
+        "--q", type=int, required=True, help="odd prime power, at most %d" % Q_MAX
+    )
     sp.add_argument(
         "--modulus",
         help="field modulus as comma-separated F_p coefficients, lowest first",
     )
     sp.add_argument("--format", choices=("table", "json"), default="table")
-    sp.add_argument("--seed", type=int, default=0, help="seed for sampled runs")
 
 
 def _add_group(sp):

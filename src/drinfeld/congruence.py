@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .ffarith import ParseError, PolyA, parse_poly
+from .ffarith import FqElem, ParseError, PolyA, parse_poly
 
 FAMILIES = ("full", "gammaN", "gamma1", "gamma0")
 
@@ -146,20 +146,14 @@ class GroupSpec:
 
     def det_allowed(self, x):
         """Whether the unit x lies in the restricted determinant subgroup."""
-        q = x.field.q
         self.validate_det_index(x.field)
-        return (x ** ((q - 1) // self.det_index)).is_one()
+        return x.field.log[x.code] % self.det_index == 0
 
     def det_values(self, field):
         """The allowed determinant subgroup of F_q^x, in generator-power order."""
         self.validate_det_index(field)
-        g = field.gen**self.det_index
-        out = [field.one]
-        x = g
-        while not x.is_one():
-            out.append(x)
-            x = x * g
-        return out
+        powers = range(0, field.q - 1, self.det_index)
+        return [FqElem(field, field.exp[k]) for k in powers]
 
     def __str__(self):
         if self.family == "full":

@@ -115,16 +115,10 @@ class CurveInvariants:
 
 def _residues(N):
     """All residues mod N, as reduced polynomials of degree < deg N."""
-    field = N.field
-    deg = N.degree
-    elems = list(field.elements())
-    out = []
-    for combo in itertools.product(elems, repeat=deg):
-        out.append(PolyA(field, list(combo)))
-    return out
+    return _polys_up_to(N.field, N.degree - 1)
 
 
-def primitive_vectors(N, *_ignored):
+def primitive_vectors(N):
     """All (u, v) in (A/N)^2 with gcd(u, v, N) = 1."""
     if N.is_zero() or N.is_constant():
         raise ValueError("level must be nonconstant")
@@ -230,11 +224,8 @@ def cusps(G, field=None):
 
 def _polys_up_to(field, deg_bound):
     """All polynomials of degree <= deg_bound, ascending enumeration."""
-    elems = list(field.elements())
-    out = []
-    for combo in itertools.product(elems, repeat=deg_bound + 1):
-        out.append(PolyA(field, list(combo)))
-    return out
+    codes = range(field.q)
+    return [PolyA(field, c) for c in itertools.product(codes, repeat=deg_bound + 1)]
 
 
 def elliptic_search(G, deg_bound, field=None):
@@ -303,15 +294,19 @@ def elliptic_search(G, deg_bound, field=None):
     return witnesses
 
 
-def parity(G, deg_bound, field=None):
-    """Square / non-square classification from the witness determinants."""
-    witnesses = elliptic_search(G, deg_bound, field)
+def classify_parity(witnesses, deg_bound):
+    """Square / non-square classification of a search's witness list."""
     if not witnesses:
         return Parity("NoWitnessFound", deg_bound)
     for w in witnesses:
         if not w.det_is_square:
             return Parity("NonSquare", deg_bound, w)
     return Parity("Square", deg_bound)
+
+
+def parity(G, deg_bound, field=None):
+    """Square / non-square classification from the witness determinants."""
+    return classify_parity(elliptic_search(G, deg_bound, field), deg_bound)
 
 
 def stabilizer_index(p):
@@ -351,8 +346,8 @@ def assemble_invariants(preset, field):
     if preset == "GL2A_2":
         base = GroupSpec("full", None)
         curve_group = GroupSpec("full", None, 2)
-        par = parity(base, 0, field)
         witnesses = elliptic_search(base, 0, field)
+        par = classify_parity(witnesses, 0)
         rep = witnesses[0] if witnesses else None
         return CurveInvariants(
             q=q,

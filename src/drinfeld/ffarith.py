@@ -1,10 +1,15 @@
 """Exact arithmetic for the tower F_q < A = F_q[T] < K = F_q(T) < K_inf = F_q((1/T)).
 
-All values are immutable and exact.  F_q is realized in a polynomial basis
-over its prime field F_p for a recorded modulus, elements of A are dense
-coefficient tuples (lowest degree first, no trailing zeros), elements of K
-are kept in lowest terms with monic denominator, and elements of K_inf carry
-a finite window of Laurent coefficients in the uniformizer 1/T.
+All values are immutable and exact.  An element of F_q is coded by the int
+sum c_i p^i of its coordinates c_i over F_p in a polynomial basis for a
+recorded modulus; for prime q the code is the value.  `Fq` builds O(q)
+tables once (exp/log for a fixed generator and, when q is not prime, Zech
+logarithms for addition), so the arithmetic on codes is a table lookup or a
+reduction mod p, and q is capped at Q_MAX before any table is built.
+Elements of A are tuples of codes (lowest degree first, no trailing zeros),
+elements of K are kept in lowest terms with monic denominator, and elements
+of K_inf carry a finite window of Laurent coefficients in the uniformizer
+1/T.  `FqElem` wraps one code for the public interface.
 
 Valuation convention: v(T) = -1, so v(a) = -deg(a) for nonzero a in A and
 |f| = q^(-v(f)).  The zero series is a distinguished value whose valuation
@@ -13,9 +18,12 @@ reads as +infinity.
 
 from __future__ import annotations
 
+import itertools
 import math
+import operator
 
 DEFAULT_PREC = 32
+Q_MAX = 65536
 
 
 class ParseError(ValueError):
@@ -37,11 +45,9 @@ class WorkBoundError(RuntimeError):
 def _factor_prime_power(q):
     if q < 3:
         raise ValueError("q must be an odd prime power >= 3")
-    p = None
-    for cand in range(2, q + 1):
-        if q % cand == 0:
-            p = cand
-            break
+    if q > Q_MAX:
+        raise ValueError("q = %d exceeds the supported maximum %d" % (q, Q_MAX))
+    p = next(cand for cand in range(2, q + 1) if q % cand == 0)
     e = 0
     m = q
     while m % p == 0:
@@ -55,12 +61,14 @@ def _factor_prime_power(q):
 
 
 class Fq:
-    """The finite field with q = p^e elements, q odd.
+    """The finite field with q = p^e elements, q odd and at most Q_MAX.
 
-    For e > 1 elements are coordinate vectors over F_p in the basis
-    1, a, ..., a^(e-1) where a is a root of the (monic, irreducible)
-    modulus.  A multiplicative generator is located at construction and
-    nonzero elements print as powers of it.
+    For e > 1 the coordinates are taken in the basis 1, a, ..., a^(e-1)
+    where a is a root of the (monic, irreducible) modulus, and the code of
+    an element is its index in `elements()`.  The generator is the first
+    element of order q-1 in that enumeration; nonzero elements print as
+    powers of it.  `add`, `sub`, `neg`, `mul` and `inv` act on codes: mod p
+    for prime q, through the exp/log and Zech tables otherwise.
     """
 
     def __init__(self, q, modulus=None, generator=None):
@@ -81,63 +89,91 @@ class Fq:
             if not _fp_irreducible(modulus, p):
                 raise ValueError("modulus is reducible over F_%d" % p)
             self.modulus = modulus
-            self._reduction = self._power_reductions()
-        self.zero = FqElem(self, (0,) * e)
-        self.one = FqElem(self, tuple([1] + [0] * (e - 1)))
+        # coords[x]: the coordinate tuple of code x, lowest digit first.
+        self.coords = [c[::-1] for c in itertools.product(range(p), repeat=e)]
         if generator is None:
-            generator = self._find_generator()
+            for x in range(1, q):
+                powers = self._powers(x)
+                if len(powers) == q - 1:
+                    break
         else:
-            generator = self.elem(generator)
-            if _mult_order(generator) != q - 1:
+            x = self.elem(generator).code
+            powers = self._powers(x) if x else []
+            if len(powers) != q - 1:
                 raise ValueError("given generator does not have order q-1")
-        self.gen = generator
-        self._dlog = {}
-        x = self.one
-        for k in range(q - 1):
-            self._dlog[x.coords] = k
-            x = x * self.gen
+        log = [None] * q
+        for k, y in enumerate(powers):
+            log[y] = k
+        # exp[k] = gen^k for 0 <= k < 2(q-1), so a sum of two logs needs no
+        # reduction; log[0] is None.
+        exp = powers + powers
+        self.exp = exp
+        self.log = log
+        self.inv = lambda x: exp[q - 1 - log[x]]
+        if e == 1:
+            self.add = lambda x, y: (x + y) % p
+            self.sub = lambda x, y: (x - y) % p
+            self.neg = lambda x: -x % p
+            self.mul = lambda x, y: x * y % p
+        else:
+            # zech[d] = log(1 + gen^d), None where 1 + gen^d = 0; adding 1
+            # to a code only touches its lowest digit.
+            zech = [log[y - y % p + (y + 1) % p] for y in powers]
+            half = (q - 1) // 2
+            negs = [0] + [exp[k + half] for k in log[1:]]
+
+            def add(x, y):
+                if not x:
+                    return y
+                if not y:
+                    return x
+                lx = log[x]
+                z = zech[log[y] - lx]  # a negative index wraps mod q-1
+                return 0 if z is None else exp[lx + z]
+
+            self.add = add
+            self.sub = lambda x, y: add(x, negs[y])
+            self.neg = negs.__getitem__
+            self.mul = lambda x, y: exp[log[x] + log[y]] if x and y else 0
+        self.zero = FqElem(self, 0)
+        self.one = FqElem(self, 1)
+        self.gen = FqElem(self, powers[1])
 
     def _default_modulus(self):
         # Smallest monic irreducible of degree e over F_p, by ascending
         # coefficient tuples.
         p, e = self.p, self.e
-        total = p**e
-        for idx in range(total):
-            coeffs = []
-            m = idx
-            for _ in range(e):
-                coeffs.append(m % p)
-                m //= p
-            cand = tuple(coeffs) + (1,)
+        for coeffs in itertools.product(range(p), repeat=e):
+            cand = coeffs[::-1] + (1,)
             if _fp_irreducible(cand, p):
                 return cand
         raise AssertionError("no irreducible modulus found")
 
-    def _power_reductions(self):
-        # Coordinates of a^k for k = e .. 2e-2, reduced by the modulus.
-        p, e, mod = self.p, self.e, self.modulus
-        red = {}
-        cur = [(-mod[i]) % p for i in range(e)]  # a^e
-        red[e] = tuple(cur)
-        for k in range(e + 1, 2 * e - 1):
-            nxt = [0] * e
-            for i in range(e - 1):
-                nxt[i + 1] = cur[i]
-            if cur[e - 1]:
-                c = cur[e - 1]
-                for i in range(e):
-                    nxt[i] = (nxt[i] - c * mod[i]) % p
-            red[k] = tuple(nxt)
-            cur = nxt
-        return red
-
-    def _find_generator(self):
-        for x in self.elements():
-            if x.is_zero():
-                continue
-            if _mult_order(x) == self.q - 1:
-                return x
-        raise AssertionError("no multiplicative generator found")
+    def _powers(self, x):
+        """[1, x, x^2, ...] up to the multiplicative order of the code x."""
+        p = self.p
+        out = [1]
+        if self.e == 1:
+            y = x
+            while y != 1:
+                out.append(y)
+                y = y * x % p
+            return out
+        # rows[i] = coordinates of a^i * x, so y * x = sum_i y_i rows[i].
+        rows = [self.coords[x]]
+        for _ in range(self.e - 1):
+            top = rows[-1][-1]
+            shifted = (0,) + rows[-1][:-1]
+            rows.append(tuple((c - top * m) % p for c, m in zip(shifted, self.modulus)))
+        cols = list(zip(*rows))
+        place = [p**i for i in range(self.e)]
+        y = rows[0]
+        while True:
+            code = sum(map(operator.mul, y, place))
+            if code == 1:
+                return out
+            out.append(code)
+            y = [sum(map(operator.mul, y, col)) % p for col in cols]
 
     def elem(self, value):
         """Coerce an int, coordinate list, or FqElem into this field."""
@@ -146,39 +182,34 @@ class Fq:
                 raise ValueError("element belongs to a different field")
             return value
         if isinstance(value, int):
-            coords = [value % self.p] + [0] * (self.e - 1)
-            return FqElem(self, tuple(coords))
-        coords = tuple(c % self.p for c in value)
+            return FqElem(self, value % self.p)
+        coords = [c % self.p for c in value]
         if len(coords) != self.e:
             raise ValueError("expected %d coordinates" % self.e)
-        return FqElem(self, coords)
+        return FqElem(self, sum(c * self.p**i for i, c in enumerate(coords)))
 
     def elements(self):
         """All q elements, prime-field digits in ascending order."""
-        p, e = self.p, self.e
-        for idx in range(self.q):
-            coords = []
-            m = idx
-            for _ in range(e):
-                coords.append(m % p)
-                m //= p
-            yield FqElem(self, tuple(coords))
+        return (FqElem(self, x) for x in range(self.q))
 
     def nonzero_elements(self):
-        return (x for x in self.elements() if not x.is_zero())
+        return (FqElem(self, x) for x in range(1, self.q))
 
     def dlog(self, x):
         """Discrete log of nonzero x with respect to the stored generator."""
         if x.is_zero():
             raise ValueError("dlog of zero")
-        return self._dlog[x.coords]
+        return self.log[x.code]
 
     def format_elem(self, x):
+        return self.format_code(x.code)
+
+    def format_code(self, x):
         if self.e == 1:
-            return str(x.coords[0])
-        if x.is_zero():
+            return str(x)
+        if not x:
             return "0"
-        k = self.dlog(x)
+        k = self.log[x]
         if k == 0:
             return "1"
         if k == 1:
@@ -199,72 +230,48 @@ class Fq:
         return hash(("Fq", self.q, self.modulus))
 
 
-def _mult_order(x):
-    n = 1
-    y = x
-    while not y.is_one():
-        y = y * x
-        n += 1
-        if n > x.field.q:
-            raise AssertionError("order computation ran away")
-    return n
-
-
 def _fp_irreducible(coeffs, p):
     """Irreducibility of a monic polynomial over F_p by trial division."""
     deg = len(coeffs) - 1
-    if deg == 1:
-        return True
-    half = deg // 2
-    # Enumerate monic divisors of degree 1..half.
-    for d in range(1, half + 1):
-        for idx in range(p**d):
-            div = []
-            m = idx
-            for _ in range(d):
-                div.append(m % p)
-                m //= p
-            div.append(1)
-            if _fp_mod(list(coeffs), div, p) == [0]:
+    for d in range(1, deg // 2 + 1):
+        for div in itertools.product(range(p), repeat=d):
+            if not any(_fp_mod(coeffs, div[::-1] + (1,), p)):
                 return False
     return True
 
 
 def _fp_mod(num, den, p):
+    """The remainder of num modulo the monic den over F_p, len(den) - 1 digits."""
     num = list(num)
     dd = len(den) - 1
-    while len(num) - 1 >= dd and any(num):
-        if num[-1] == 0:
-            num.pop()
-            continue
-        shift = len(num) - 1 - dd
-        c = num[-1]
+    for shift in range(len(num) - 1 - dd, -1, -1):
+        c = num[shift + dd] % p
         for i in range(dd + 1):
-            num[shift + i] = (num[shift + i] - c * den[i]) % p
-        while len(num) > 1 and num[-1] == 0:
-            num.pop()
-    while len(num) > 1 and num[-1] == 0:
-        num.pop()
-    return num if any(num) else [0]
+            num[shift + i] -= c * den[i]
+    return [c % p for c in num[:dd]]
 
 
 class FqElem:
-    """An element of Fq; immutable coordinate vector over the prime field."""
+    """An element of Fq: its int code, with field arithmetic on top."""
 
-    __slots__ = ("field", "coords")
+    __slots__ = ("field", "code")
 
-    def __init__(self, field, coords):
+    def __init__(self, field, code):
         self.field = field
-        self.coords = coords
+        self.code = code
+
+    @property
+    def coords(self):
+        return self.field.coords[self.code]
 
     def is_zero(self):
-        return all(c == 0 for c in self.coords)
+        return not self.code
 
     def is_one(self):
-        return self.coords == self.field.one.coords
+        return self.code == 1
 
     def __bool__(self):
-        return not self.is_zero()
+        return bool(self.code)
 
     def _coerce(self, other):
         if isinstance(other, FqElem):
@@ -277,11 +284,7 @@ class FqElem:
         o = self._coerce(other)
         if o is NotImplemented:
             return NotImplemented
-        p = self.field.p
-        return FqElem(
-            self.field,
-            tuple((a + b) % p for a, b in zip(self.coords, o.coords)),
-        )
+        return FqElem(self.field, self.field.add(self.code, o.code))
 
     __radd__ = __add__
 
@@ -289,48 +292,26 @@ class FqElem:
         o = self._coerce(other)
         if o is NotImplemented:
             return NotImplemented
-        p = self.field.p
-        return FqElem(
-            self.field,
-            tuple((a - b) % p for a, b in zip(self.coords, o.coords)),
-        )
+        return FqElem(self.field, self.field.sub(self.code, o.code))
 
     def __rsub__(self, other):
         return (-self) + other
 
     def __neg__(self):
-        p = self.field.p
-        return FqElem(self.field, tuple((-a) % p for a in self.coords))
+        return FqElem(self.field, self.field.neg(self.code))
 
     def __mul__(self, other):
         o = self._coerce(other)
         if o is NotImplemented:
             return NotImplemented
-        f = self.field
-        p, e = f.p, f.e
-        if e == 1:
-            return FqElem(f, ((self.coords[0] * o.coords[0]) % p,))
-        prod = [0] * (2 * e - 1)
-        for i, a in enumerate(self.coords):
-            if a == 0:
-                continue
-            for j, b in enumerate(o.coords):
-                prod[i + j] = (prod[i + j] + a * b) % p
-        out = list(prod[:e])
-        for k in range(e, 2 * e - 1):
-            if prod[k]:
-                red = f._reduction[k]
-                c = prod[k]
-                for i in range(e):
-                    out[i] = (out[i] + c * red[i]) % p
-        return FqElem(f, tuple(out))
+        return FqElem(self.field, self.field.mul(self.code, o.code))
 
     __rmul__ = __mul__
 
     def inverse(self):
-        if self.is_zero():
+        if not self.code:
             raise ZeroDivisionError("inverse of zero")
-        return self ** (self.field.q - 2)
+        return FqElem(self.field, self.field.inv(self.code))
 
     def __truediv__(self, other):
         o = self._coerce(other)
@@ -344,14 +325,10 @@ class FqElem:
     def __pow__(self, n):
         if n < 0:
             return self.inverse() ** (-n)
-        out = self.field.one
-        base = self
-        while n:
-            if n & 1:
-                out = out * base
-            base = base * base
-            n >>= 1
-        return out
+        f = self.field
+        if not self.code:
+            return f.one if n == 0 else self
+        return FqElem(f, f.exp[f.log[self.code] * n % (f.q - 1)])
 
     def __eq__(self, other):
         if isinstance(other, int):
@@ -359,47 +336,63 @@ class FqElem:
         return (
             isinstance(other, FqElem)
             and self.field == other.field
-            and self.coords == other.coords
+            and self.code == other.code
         )
 
     def __hash__(self):
-        return hash((self.field.q, self.coords))
+        return hash((self.field.q, self.code))
 
     def __repr__(self):
-        return self.field.format_elem(self)
+        return self.field.format_code(self.code)
+
+
+def _poly(field, coeffs):
+    """The PolyA with the given list of codes, trailing zeros stripped."""
+    while coeffs and not coeffs[-1]:
+        coeffs.pop()
+    f = object.__new__(PolyA)
+    f.field = field
+    f.coeffs = tuple(coeffs)
+    return f
 
 
 class PolyA:
-    """A polynomial in A = F_q[T]; coefficients lowest degree first."""
+    """A polynomial in A = F_q[T]; coefficient codes lowest degree first.
+
+    The constructor takes FqElem values or int codes.
+    """
 
     __slots__ = ("field", "coeffs")
 
     def __init__(self, field, coeffs):
-        coeffs = list(coeffs)
-        while coeffs and coeffs[-1].is_zero():
-            coeffs.pop()
+        codes = [c.code if isinstance(c, FqElem) else c for c in coeffs]
+        if not all(0 <= c < field.q for c in codes):
+            raise ValueError("coefficient codes must lie in 0..q-1")
+        while codes and not codes[-1]:
+            codes.pop()
         self.field = field
-        self.coeffs = tuple(coeffs)
+        self.coeffs = tuple(codes)
 
     @classmethod
     def from_ints(cls, field, ints):
-        return cls(field, [field.elem(c) for c in ints])
+        """The polynomial with prime-field coefficients given as ints."""
+        return _poly(field, [c % field.p for c in ints])
 
     @classmethod
     def zero(cls, field):
-        return cls(field, [])
+        return _poly(field, [])
 
     @classmethod
     def one(cls, field):
-        return cls(field, [field.one])
+        return _poly(field, [1])
 
     @classmethod
     def const(cls, field, c):
-        return cls(field, [field.elem(c)])
+        return _poly(field, [field.elem(c).code])
 
     @classmethod
     def T(cls, field):
-        return cls(field, [field.zero, field.one])
+        return _poly(field, [0, 1])
 
     @property
     def degree(self):
@@ -419,34 +412,34 @@ class PolyA:
         """The value of a constant polynomial as an FqElem."""
         if not self.is_constant():
             raise ValueError("polynomial is not constant")
-        return self.coeffs[0] if self.coeffs else self.field.zero
+        return self.coeff(0)
 
     def leading_coeff(self):
         if not self.coeffs:
             raise ValueError("zero polynomial has no leading coefficient")
-        return self.coeffs[-1]
+        return FqElem(self.field, self.coeffs[-1])
 
     def is_monic(self):
-        return bool(self.coeffs) and self.coeffs[-1].is_one()
+        return bool(self.coeffs) and self.coeffs[-1] == 1
 
     def coeff(self, i):
-        if 0 <= i < len(self.coeffs):
-            return self.coeffs[i]
-        return self.field.zero
+        """The coefficient of T^i as an FqElem."""
+        c = self.coeffs[i] if 0 <= i < len(self.coeffs) else 0
+        return FqElem(self.field, c)
 
     def _coerce(self, other):
         if isinstance(other, PolyA):
             return other
         if isinstance(other, (FqElem, int)):
-            return PolyA(self.field, [self.field.elem(other)])
+            return _poly(self.field, [self.field.elem(other).code])
         return NotImplemented
 
     def __add__(self, other):
         o = self._coerce(other)
         if o is NotImplemented:
             return NotImplemented
-        n = max(len(self.coeffs), len(o.coeffs))
-        return PolyA(self.field, [self.coeff(i) + o.coeff(i) for i in range(n)])
+        pairs = itertools.zip_longest(self.coeffs, o.coeffs, fillvalue=0)
+        return _poly(self.field, list(itertools.starmap(self.field.add, pairs)))
 
     __radd__ = __add__
 
@@ -454,28 +447,29 @@ class PolyA:
         o = self._coerce(other)
         if o is NotImplemented:
             return NotImplemented
-        n = max(len(self.coeffs), len(o.coeffs))
-        return PolyA(self.field, [self.coeff(i) - o.coeff(i) for i in range(n)])
+        pairs = itertools.zip_longest(self.coeffs, o.coeffs, fillvalue=0)
+        return _poly(self.field, list(itertools.starmap(self.field.sub, pairs)))
 
     def __rsub__(self, other):
         return (-self) + other
 
     def __neg__(self):
-        return PolyA(self.field, [-c for c in self.coeffs])
+        return _poly(self.field, list(map(self.field.neg, self.coeffs)))
 
     def __mul__(self, other):
         o = self._coerce(other)
         if o is NotImplemented:
             return NotImplemented
-        if self.is_zero() or o.is_zero():
-            return PolyA.zero(self.field)
-        out = [self.field.zero] * (len(self.coeffs) + len(o.coeffs) - 1)
-        for i, a in enumerate(self.coeffs):
-            if a.is_zero():
-                continue
-            for j, b in enumerate(o.coeffs):
-                out[i + j] = out[i + j] + a * b
-        return PolyA(self.field, out)
+        a, b = self.coeffs, o.coeffs
+        if not a or not b:
+            return _poly(self.field, [])
+        add, mul = self.field.add, self.field.mul
+        out = [0] * (len(a) + len(b) - 1)
+        for i, x in enumerate(a):
+            if x:
+                for j, y in enumerate(b, i):
+                    out[j] = add(out[j], mul(x, y))
+        return _poly(self.field, out)
 
     __rmul__ = __mul__
 
@@ -493,7 +487,7 @@ class PolyA:
         """Multiply by T^k."""
         if self.is_zero():
             return self
-        return PolyA(self.field, [self.field.zero] * k + list(self.coeffs))
+        return _poly(self.field, [0] * k + list(self.coeffs))
 
     def __divmod__(self, other):
         o = self._coerce(other)
@@ -501,22 +495,22 @@ class PolyA:
             return NotImplemented
         if o.is_zero():
             raise ZeroDivisionError("polynomial division by zero")
+        F = self.field
+        sub, mul = F.sub, F.mul
+        den = o.coeffs
+        dd = len(den) - 1
+        lc_inv = F.inv(den[-1])
         rem = list(self.coeffs)
-        dd = o.degree
-        lc_inv = o.leading_coeff().inverse()
-        quot = [self.field.zero] * max(0, len(rem) - dd)
-        while len(rem) - 1 >= dd and rem:
-            if rem[-1].is_zero():
-                rem.pop()
-                continue
+        quot = [0] * max(0, len(rem) - dd)
+        while len(rem) > dd:
             shift = len(rem) - 1 - dd
-            c = rem[-1] * lc_inv
+            c = mul(rem.pop(), lc_inv)
             quot[shift] = c
-            for i in range(dd + 1):
-                rem[shift + i] = rem[shift + i] - c * o.coeffs[i]
-            while rem and rem[-1].is_zero():
+            for i in range(dd):
+                rem[shift + i] = sub(rem[shift + i], mul(c, den[i]))
+            while rem and not rem[-1]:
                 rem.pop()
-        return PolyA(self.field, quot), PolyA(self.field, rem)
+        return _poly(F, quot), _poly(F, rem)
 
     def __mod__(self, other):
         return divmod(self, other)[1]
@@ -537,19 +531,20 @@ class PolyA:
         return a.monic()
 
     def sort_key(self):
-        return tuple(c.coords for c in self.coeffs)
+        """Coordinate tuples of the coefficients, lowest degree first."""
+        return tuple(map(self.field.coords.__getitem__, self.coeffs))
 
     def __eq__(self, other):
         if isinstance(other, (FqElem, int)):
             other = self._coerce(other)
         return (
             isinstance(other, PolyA)
-            and self.field == other.field
             and self.coeffs == other.coeffs
+            and (self.field is other.field or self.field == other.field)
         )
 
     def __hash__(self):
-        return hash((self.field.q, tuple(c.coords for c in self.coeffs)))
+        return hash((self.field.q, self.coeffs))
 
     def __repr__(self):
         return format_poly(self)
@@ -565,10 +560,11 @@ class RatK:
             den = PolyA.one(num.field)
         if den.is_zero():
             raise ZeroDivisionError("zero denominator")
-        g = num.gcd(den)
-        if not g.is_zero() and g.degree > 0:
-            num = num // g
-            den = den // g
+        if den.degree > 0:  # a constant denominator is a unit: gcd 1
+            g = num.gcd(den)
+            if g.degree > 0:
+                num = num // g
+                den = den // g
         if not den.is_monic():
             c = den.leading_coeff().inverse()
             num = num * c
@@ -585,7 +581,7 @@ class RatK:
             return value
         if isinstance(value, PolyA):
             return cls(value)
-        return cls(PolyA(field, [field.elem(value)]))
+        return cls(PolyA.const(field, value))
 
     @property
     def field(self):
@@ -647,8 +643,7 @@ class RatK:
         return RatK(self.num * o.den, self.den * o.num)
 
     def __rtruediv__(self, other):
-        o = self._coerce(other)
-        return o / self
+        return self._coerce(other) / self
 
     def __pow__(self, n):
         if n < 0:
@@ -675,7 +670,7 @@ class RatK:
         return hash((hash(self.num), hash(self.den)))
 
     def __repr__(self):
-        if self.den == PolyA.one(self.field):
+        if self.den.coeffs == (1,):
             return format_poly(self.num)
         return "(%s)/(%s)" % (format_poly(self.num), format_poly(self.den))
 
@@ -765,15 +760,11 @@ class LaurentKInf:
             return NotImplemented
         if self.is_zero() or other.is_zero():
             return LaurentKInf.zero(self.field)
-        n = min(len(self.coeffs), len(other.coeffs))
         out = []
-        for k in range(n):
+        for k in range(min(len(self.coeffs), len(other.coeffs))):
             acc = self.field.zero
-            for i in range(k + 1):
-                a = self.coeffs[i] if i < len(self.coeffs) else self.field.zero
-                j = k - i
-                b = other.coeffs[j] if j < len(other.coeffs) else self.field.zero
-                if not (a.is_zero() or b.is_zero()):
+            for a, b in zip(self.coeffs[: k + 1], reversed(other.coeffs[: k + 1])):
+                if a and b:
                     acc = acc + a * b
             out.append(acc)
         return LaurentKInf(self.field, self.val + other.val, out)
@@ -807,7 +798,7 @@ class LaurentKInf:
         )
 
     def __hash__(self):
-        return hash((self.field.q, self.val, tuple(c.coords for c in self.coeffs)))
+        return hash((self.field.q, self.val, self.coeffs))
 
     def __repr__(self):
         if self.is_zero():
@@ -868,6 +859,15 @@ def parse_poly(src, field):
         pos += 1
         return tok
 
+    def parse_exponent():
+        if peek()[0] != "^":
+            return 1
+        advance()
+        kind, value, at = advance()
+        if kind != "int":
+            raise ParseError("expected integer exponent", at)
+        return value
+
     def parse_factor():
         kind, value, at = advance()
         if kind == "int":
@@ -879,23 +879,9 @@ def parse_poly(src, field):
         if kind == "a":
             if field.e == 1:
                 raise ParseError("symbol 'a' is only valid for non-prime q", at)
-            exp = 1
-            if peek()[0] == "^":
-                advance()
-                k2, v2, at2 = advance()
-                if k2 != "int":
-                    raise ParseError("expected integer exponent", at2)
-                exp = v2
-            return field.gen**exp, 0
+            return field.gen ** parse_exponent(), 0
         if kind == "T":
-            exp = 1
-            if peek()[0] == "^":
-                advance()
-                k2, v2, at2 = advance()
-                if k2 != "int":
-                    raise ParseError("expected integer exponent", at2)
-                exp = v2
-            return field.one, exp
+            return field.one, parse_exponent()
         raise ParseError("expected a coefficient, 'a', or 'T'", at)
 
     def parse_term():
@@ -941,15 +927,15 @@ def format_poly(poly):
         return "0"
     parts = []
     for d in range(poly.degree, -1, -1):
-        c = poly.coeff(d)
-        if c.is_zero():
+        c = poly.coeffs[d]
+        if not c:
             continue
-        cstr = field.format_elem(c)
+        cstr = field.format_code(c)
         if d == 0:
             parts.append(cstr)
         else:
             var = "T" if d == 1 else "T^%d" % d
-            parts.append(var if c.is_one() else "%s*%s" % (cstr, var))
+            parts.append(var if c == 1 else "%s*%s" % (cstr, var))
     return "+".join(parts)
 
 
@@ -958,18 +944,27 @@ def format_poly(poly):
 
 
 def is_square_fq(x):
-    """Euler criterion: nonzero x is a square iff x^((q-1)/2) = 1."""
+    """Nonzero x is a square iff its discrete log is even."""
     if x.is_zero():
         raise ValueError("squareness of zero is not defined here")
-    return (x ** ((x.field.q - 1) // 2)).is_one()
+    return x.field.log[x.code] % 2 == 0
+
+
+def _sqrt_code(field, x):
+    """The square root of the code x that comes first in `elements()`, or None."""
+    if not x:
+        return 0
+    k = field.log[x]
+    if k % 2:
+        return None
+    y = field.exp[k // 2]
+    return min(y, field.neg(y))
 
 
 def sqrt_fq(x):
-    """A square root of x in F_q, or None; found by exhaustive search."""
-    for y in x.field.elements():
-        if y * y == x:
-            return y
-    return None
+    """A square root of x in F_q (the first in element order), or None."""
+    y = _sqrt_code(x.field, x.code)
+    return None if y is None else FqElem(x.field, y)
 
 
 def laurent_expand(x, prec=DEFAULT_PREC):
@@ -1036,24 +1031,26 @@ def quad_irreducible_kinf(b, c, prec=DEFAULT_PREC):
 
 def poly_sqrt(poly):
     """The exact square root of a polynomial in A, or None."""
+    field = poly.field
     if poly.is_zero():
-        return PolyA.zero(poly.field)
+        return PolyA.zero(field)
     deg = poly.degree
     if deg % 2 != 0:
         return None
-    top = sqrt_fq(poly.leading_coeff())
+    top = _sqrt_code(field, poly.coeffs[-1])
     if top is None:
         return None
+    sub, mul = field.sub, field.mul
     half = deg // 2
-    r = [poly.field.zero] * (half + 1)
+    r = [0] * (half + 1)
     r[half] = top
-    inv = (top + top).inverse()
+    inv = field.inv(field.add(top, top))
     for j in range(half - 1, -1, -1):
-        acc = poly.coeff(half + j)
+        acc = poly.coeffs[half + j]
         for i in range(j + 1, half):
-            acc = acc - r[i] * r[half + j - i]
-        r[j] = acc * inv
-    cand = PolyA(poly.field, r)
+            acc = sub(acc, mul(r[i], r[half + j - i]))
+        r[j] = mul(acc, inv)
+    cand = _poly(field, r)
     if cand * cand == poly:
         return cand
     return None

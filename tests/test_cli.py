@@ -339,3 +339,11 @@ def test_usage_and_validation_exit_codes(capsys):
     assert run(capsys, "frobnicate")[0] == 2
     assert run(capsys, "parity", "--q", "5", "--group", "full",
                "--no-such-flag")[0] == 2
+
+
+def test_field_size_is_bounded_before_any_work(capsys):
+    # a 10-digit prime would otherwise be trial-divided and tabulated
+    code, out, err = run(capsys, "parity", "--q", "1000000007", "--group", "full")
+    assert code == 2
+    assert out == ""
+    assert "65536" in err

@@ -95,11 +95,11 @@ def test_is_square_fq_known_values():
 def test_parse_poly_known_values():
     F7 = get_field(7)
     p = parse_poly("4*T+3", F7)
-    assert [c.coords[0] for c in p.coeffs] == [3, 4]
+    assert list(p.coeffs) == [3, 4]
     assert parse_poly("0", F7).is_zero()
     F3 = get_field(3)
     p2 = parse_poly("T^2+1", F3)
-    assert [c.coords[0] for c in p2.coeffs] == [1, 0, 1]
+    assert list(p2.coeffs) == [1, 0, 1]
 
 
 def test_parse_poly_round_trips_through_printing():
