@@ -147,6 +147,8 @@ class GroupSpec:
     def det_allowed(self, x):
         """Whether the unit x lies in the restricted determinant subgroup."""
         self.validate_det_index(x.field)
+        if x.is_zero():
+            return False
         return x.field.log[x.code] % self.det_index == 0
 
     def det_values(self, field):

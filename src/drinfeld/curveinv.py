@@ -29,6 +29,7 @@ from .ffarith import (
     PolyA,
     RatK,
     WorkBoundError,
+    _poly,
     is_square_fq,
     is_square_k,
     poly_ext_gcd,
@@ -225,7 +226,7 @@ def cusps(G, field=None):
 def _polys_up_to(field, deg_bound):
     """All polynomials of degree <= deg_bound, ascending enumeration."""
     codes = range(field.q)
-    return [PolyA(field, c) for c in itertools.product(codes, repeat=deg_bound + 1)]
+    return [_poly(field, list(c)) for c in itertools.product(codes, repeat=deg_bound + 1)]
 
 
 def elliptic_search(G, deg_bound, field=None):

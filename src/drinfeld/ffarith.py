@@ -3,9 +3,9 @@
 All values are immutable and exact.  An element of F_q is coded by the int
 sum c_i p^i of its coordinates c_i over F_p in a polynomial basis for a
 recorded modulus; for prime q the code is the value.  `Fq` builds O(q)
-tables once (exp/log for a fixed generator and, when q is not prime, Zech
-logarithms for addition), so the arithmetic on codes is a table lookup or a
-reduction mod p, and q is capped at Q_MAX before any table is built.
+tables once (exp/log for a fixed generator and Zech logarithms for
+addition), so the arithmetic on codes is a table lookup, and q is capped at
+Q_MAX before any table is built.
 Elements of A are tuples of codes (lowest degree first, no trailing zeros),
 elements of K are kept in lowest terms with monic denominator, and elements
 of K_inf carry a finite window of Laurent coefficients in the uniformizer
@@ -67,11 +67,11 @@ class Fq:
     where a is a root of the (monic, irreducible) modulus, and the code of
     an element is its index in `elements()`.  The generator is the first
     element of order q-1 in that enumeration; nonzero elements print as
-    powers of it.  `add`, `sub`, `neg`, `mul` and `inv` act on codes: mod p
-    for prime q, through the exp/log and Zech tables otherwise.
+    powers of it.  `add`, `sub`, `neg`, `mul` and `inv` act on codes through
+    the exp/log and Zech tables.
     """
 
-    def __init__(self, q, modulus=None, generator=None):
+    def __init__(self, q, modulus=None):
         p, e = _factor_prime_power(q)
         self.q = q
         self.p = p
@@ -91,16 +91,10 @@ class Fq:
             self.modulus = modulus
         # coords[x]: the coordinate tuple of code x, lowest digit first.
         self.coords = [c[::-1] for c in itertools.product(range(p), repeat=e)]
-        if generator is None:
-            for x in range(1, q):
-                powers = self._powers(x)
-                if len(powers) == q - 1:
-                    break
-        else:
-            x = self.elem(generator).code
-            powers = self._powers(x) if x else []
-            if len(powers) != q - 1:
-                raise ValueError("given generator does not have order q-1")
+        for x in range(1, q):
+            powers = self._powers(x)
+            if len(powers) == q - 1:
+                break
         log = [None] * q
         for k, y in enumerate(powers):
             log[y] = k
@@ -110,31 +104,25 @@ class Fq:
         self.exp = exp
         self.log = log
         self.inv = lambda x: exp[q - 1 - log[x]]
-        if e == 1:
-            self.add = lambda x, y: (x + y) % p
-            self.sub = lambda x, y: (x - y) % p
-            self.neg = lambda x: -x % p
-            self.mul = lambda x, y: x * y % p
-        else:
-            # zech[d] = log(1 + gen^d), None where 1 + gen^d = 0; adding 1
-            # to a code only touches its lowest digit.
-            zech = [log[y - y % p + (y + 1) % p] for y in powers]
-            half = (q - 1) // 2
-            negs = [0] + [exp[k + half] for k in log[1:]]
+        # zech[d] = log(1 + gen^d), None where 1 + gen^d = 0; adding 1
+        # to a code only touches its lowest digit.
+        zech = [log[y - y % p + (y + 1) % p] for y in powers]
+        half = (q - 1) // 2
+        negs = [0] + [exp[k + half] for k in log[1:]]
 
-            def add(x, y):
-                if not x:
-                    return y
-                if not y:
-                    return x
-                lx = log[x]
-                z = zech[log[y] - lx]  # a negative index wraps mod q-1
-                return 0 if z is None else exp[lx + z]
+        def add(x, y):
+            if not x:
+                return y
+            if not y:
+                return x
+            lx = log[x]
+            z = zech[log[y] - lx]  # a negative index wraps mod q-1
+            return 0 if z is None else exp[lx + z]
 
-            self.add = add
-            self.sub = lambda x, y: add(x, negs[y])
-            self.neg = negs.__getitem__
-            self.mul = lambda x, y: exp[log[x] + log[y]] if x and y else 0
+        self.add = add
+        self.sub = lambda x, y: add(x, negs[y])
+        self.neg = negs.__getitem__
+        self.mul = lambda x, y: exp[log[x] + log[y]] if x and y else 0
         self.zero = FqElem(self, 0)
         self.one = FqElem(self, 1)
         self.gen = FqElem(self, powers[1])
@@ -153,12 +141,6 @@ class Fq:
         """[1, x, x^2, ...] up to the multiplicative order of the code x."""
         p = self.p
         out = [1]
-        if self.e == 1:
-            y = x
-            while y != 1:
-                out.append(y)
-                y = y * x % p
-            return out
         # rows[i] = coordinates of a^i * x, so y * x = sum_i y_i rows[i].
         rows = [self.coords[x]]
         for _ in range(self.e - 1):
@@ -359,15 +341,13 @@ def _poly(field, coeffs):
 class PolyA:
     """A polynomial in A = F_q[T]; coefficient codes lowest degree first.
 
-    The constructor takes FqElem values or int codes.
+    The constructor takes FqElem coefficients.
     """
 
     __slots__ = ("field", "coeffs")
 
     def __init__(self, field, coeffs):
-        codes = [c.code if isinstance(c, FqElem) else c for c in coeffs]
-        if not all(0 <= c < field.q for c in codes):
-            raise ValueError("coefficient codes must lie in 0..q-1")
+        codes = [c.code for c in coeffs]
         while codes and not codes[-1]:
             codes.pop()
         self.field = field

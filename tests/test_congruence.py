@@ -129,6 +129,14 @@ def test_gamma2_of_restricts_determinants():
     assert det_image_order(G2, F5) == 2
 
 
+def test_det_allowed_rejects_zero():
+    F9 = get_field(9)
+    for idx in (1, 2, 4):
+        G = GroupSpec("full", None, det_index=idx)
+        assert not G.det_allowed(F9.zero)
+        assert [G.det_allowed(x) for x in F9.nonzero_elements()].count(True) == 8 // idx
+
+
 def test_coset_representative():
     F7 = get_field(7)
     rep = coset_rep_nonsquare(F7)

@@ -35,9 +35,7 @@ def elements(F):
 
 
 def polys(F, max_len=6):
-    return st.lists(st.integers(0, F.q - 1), max_size=max_len).map(
-        lambda codes: PolyA(F, codes)
-    )
+    return st.lists(elements(F), max_size=max_len).map(lambda cs: PolyA(F, cs))
 
 
 def coord_add(F, x, y):
@@ -141,7 +139,7 @@ def test_sort_key_orders_coordinates_low_digit_first():
     # For q = 9 the coordinate order is not the code order: code 3 is
     # (0, 1) and sorts before code 1, which is (1, 0).
     F = FIELDS[1]
-    consts = sorted((PolyA(F, [c]) for c in range(9)), key=PolyA.sort_key)
+    consts = sorted((PolyA(F, [x]) for x in F.elements()), key=PolyA.sort_key)
     assert [f.coeffs for f in consts] == [
         (), (3,), (6,), (1,), (4,), (7,), (2,), (5,), (8,),
     ]
