@@ -27,6 +27,7 @@ from .useries import SupportError, parse_useries, split
 from .weights import VanishingProfile, dim_gamma0T, type_solutions, valence_check
 
 SCHEMA = "drinfeld/1"
+DIMS_K_MAX = 1000
 
 
 def _field(args):
@@ -106,6 +107,11 @@ def cmd_dims(args):
         raise ValueError("dimension table is available for preset Gamma0T_2 only")
     if args.k_max % 2 != 0 or args.k_max < 2:
         raise ValueError("--k-max must be a positive even integer")
+    if args.k_max > DIMS_K_MAX:
+        raise ValueError(
+            "--k-max %d exceeds the supported maximum DIMS_K_MAX = %d"
+            % (args.k_max, DIMS_K_MAX)
+        )
     field = _field(args)
     q = field.q
     rows = []
@@ -332,7 +338,9 @@ def build_parser():
     sp = sub.add_parser("dims", help="dimension table with section cross-check")
     _add_common(sp)
     sp.add_argument("--preset", choices=PRESETS, default="Gamma0T_2")
-    sp.add_argument("--k-max", type=int, required=True)
+    sp.add_argument(
+        "--k-max", type=int, required=True, help="even, at most %d" % DIMS_K_MAX
+    )
     sp.set_defaults(func=cmd_dims)
 
     sp = sub.add_parser("sectionring", help="generators and relations")

@@ -5,7 +5,8 @@ sum c_i p^i of its coordinates c_i over F_p in a polynomial basis for a
 recorded modulus; for prime q the code is the value.  `Fq` builds O(q)
 tables once (exp/log for a fixed generator and Zech logarithms for
 addition), so the arithmetic on codes is a table lookup, and q is capped at
-Q_MAX before any table is built.
+Q_MAX before any table is built.  Parsed polynomial text is capped at
+degree POLY_DEG_MAX before any coefficient list is built.
 Elements of A are tuples of codes (lowest degree first, no trailing zeros),
 elements of K are kept in lowest terms with monic denominator, and elements
 of K_inf carry a finite window of Laurent coefficients in the uniformizer
@@ -24,6 +25,7 @@ import operator
 
 DEFAULT_PREC = 32
 Q_MAX = 65536
+POLY_DEG_MAX = 4096
 
 
 class ParseError(ValueError):
@@ -825,7 +827,8 @@ def parse_poly(src, field):
 
     Terms are joined by + or -.  Within a term, factors separated by * may be
     integer literals 0..p-1, the field generator a (with optional ^k, only
-    when e > 1), or T (with optional ^k).
+    when e > 1), or T (with optional ^k).  A term of degree above
+    POLY_DEG_MAX is rejected before any coefficients are built.
     """
     tokens = _tokenize(src)
     pos = 0
@@ -865,12 +868,19 @@ def parse_poly(src, field):
         raise ParseError("expected a coefficient, 'a', or 'T'", at)
 
     def parse_term():
+        at = peek()[2]
         coeff, texp = parse_factor()
         while peek()[0] == "*":
             advance()
             c2, e2 = parse_factor()
             coeff = coeff * c2
             texp += e2
+        if texp > POLY_DEG_MAX:
+            raise ParseError(
+                "degree %d exceeds the supported maximum POLY_DEG_MAX = %d"
+                % (texp, POLY_DEG_MAX),
+                at,
+            )
         return coeff, texp
 
     acc = {}

@@ -12,15 +12,22 @@ degree's common denominator, so the vectors are signed binomial rows),
 new generators are drawn from the Riemann-Roch basis to fill the
 complement, and kernel vectors of the monomial-evaluation map are reported
 as relations once consequences of earlier relations are quotiented away.
+
+The row reduction is fraction-free: rows, their tracked expressions and the
+consequence rows of earlier relations are integer vectors, reduced by
+cross-multiplication and kept divided by their content.  A Fraction is built
+in one place only, when a dependent monomial's integer dependency is divided
+by its own coefficient to give the reported relation; that relation is the
+unique dependency on the earlier independent monomials, so it does not
+depend on how the elimination scaled its rows.
 """
 
 from __future__ import annotations
 
 import enum
-import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb
+from math import comb, gcd
 
 from .ffarith import WorkBoundError
 
@@ -281,40 +288,54 @@ class RingPresentation:
 
 
 class _Rref:
-    """Incremental exact row reduction with optional expression tracking."""
+    """Incremental fraction-free row reduction over Z with optional expression tracking.
 
-    def __init__(self, dim):
-        self.dim = dim
-        self.rows = []  # (normalized vector, expr dict or None, pivot column)
+    A stored row is (vec, expr, pivot): an integer vector whose first nonzero
+    entry sits at the pivot column, and, when tracked, an integer dict over
+    the caller's keys whose combination of inserted vectors is vec.  A new
+    vector v is reduced against each row r with v[p] != 0 by cross-multiplying,
+    v <- (r[p]/g)*v - (v[p]/g)*r with g = gcd(v[p], r[p]), and its expression
+    gets the same update, so every value stays an integer.  Before it is
+    stored, a row and its expression are divided by their common content; an
+    untracked row is thus a primitive vector.
+    """
+
+    def __init__(self):
+        self.rows = []  # (integer vector, integer expr dict or None, pivot column)
 
     @property
     def rank(self):
         return len(self.rows)
 
-    def _reduce(self, vec, expr):
-        vec = [Fraction(x) for x in vec]
+    def try_add(self, vec, expr=None):
+        """Insert the integer vector if independent.  Returns (added, residual expression).
+
+        For a dependent vector the residual expression is an integer
+        dependency among the inserted vectors.
+        """
+        vec = list(vec)
         expr = dict(expr) if expr is not None else None
         for rvec, rexpr, piv in self.rows:
             f = vec[piv]
-            if f:
-                for i in range(piv, self.dim):
-                    if rvec[i]:
-                        vec[i] -= f * rvec[i]
-                if expr is not None and rexpr is not None:
-                    for key, val in rexpr.items():
-                        expr[key] = expr.get(key, Fraction(0)) - f * val
-        return vec, expr
-
-    def try_add(self, vec, expr=None):
-        """Insert if independent.  Returns (added, residual expression)."""
-        vec, expr = self._reduce(vec, expr)
+            if not f:
+                continue
+            r = rvec[piv]
+            g = gcd(f, r)
+            a, b = r // g, f // g
+            vec = [a * x - b * y for x, y in zip(vec, rvec)]
+            if expr is not None and rexpr is not None:
+                if a != 1:
+                    expr = {k: a * v for k, v in expr.items()}
+                for k, v in rexpr.items():
+                    expr[k] = expr.get(k, 0) - b * v
         piv = next((i for i, x in enumerate(vec) if x), None)
         if piv is None:
             return False, expr
-        inv = Fraction(1) / vec[piv]
-        vec = [x * inv for x in vec]
-        if expr is not None:
-            expr = {k: v * inv for k, v in expr.items()}
+        c = gcd(*vec, *expr.values()) if expr is not None else gcd(*vec)
+        if c != 1:
+            vec = [x // c for x in vec]
+            if expr is not None:
+                expr = {k: v // c for k, v in expr.items()}
         self.rows.append((vec, expr, piv))
         return True, expr
 
@@ -355,6 +376,7 @@ def presentation(D, max_weight):
         raise ValueError("max_weight must be an even integer >= 2")
     gens = []
     relations = []
+    relation_rows = []  # (degree, integer combination) for each relation
     logs = []
     budget = 0
     for d in range(1, max_weight // 2 + 1):
@@ -375,8 +397,8 @@ def presentation(D, max_weight):
             )
             continue
         dim = dim_h0
-        span = _Rref(dim)
-        kernels = []  # (expr over monomial indices)
+        span = _Rref()
+        kernels = []  # (monomial index, integer dependency over monomial indices)
         for idx, exps in enumerate(monos):
             t_total = sum(e * g.t_exp for e, g in zip(exps, gens))
             s_total = sum(e * g.s_exp for e, g in zip(exps, gens))
@@ -389,25 +411,20 @@ def presentation(D, max_weight):
             for i in range(b_exp + 1):
                 vec[m_exp + i] = sign * comb(b_exp, i)
                 sign = -sign
-            added, expr = span.try_add(vec, {idx: Fraction(1)})
+            added, dep = span.try_add(vec, {idx: 1})
             if not added:
-                kernel = {idx: Fraction(1)}
-                for key, val in expr.items():
-                    if key != idx:
-                        kernel[key] = kernel.get(key, Fraction(0)) + val
-                kernel = {k: v for k, v in kernel.items() if v}
-                kernels.append(kernel)
+                kernels.append((idx, {k: v for k, v in dep.items() if v}))
         span_rank = span.rank
         # consequences of earlier relations at this degree
         mono_index = {exps: i for i, exps in enumerate(monos)}
-        cons = _Rref(len(monos)) if monos else None
-        for rel in relations:
-            shift = d - rel.weight // 2
+        cons = _Rref()
+        for rel_degree, combo in relation_rows:
+            shift = d - rel_degree
             if shift < 0:
                 continue
             for mu in _monomials(degrees, shift):
-                vec = [Fraction(0)] * len(monos)
-                for exps, coeff in rel.combo:
+                vec = [0] * len(monos)
+                for exps, coeff in combo:
                     shifted = tuple(
                         a + b for a, b in zip(_pad(exps, len(gens)), mu)
                     )
@@ -415,18 +432,19 @@ def presentation(D, max_weight):
                 cons.try_add(vec)
         absorbed = 0
         new_rels = []
-        for kernel in kernels:
-            vec = [Fraction(0)] * len(monos)
-            for key, val in kernel.items():
+        for idx, dep in kernels:
+            vec = [0] * len(monos)
+            for key, val in dep.items():
                 vec[key] = val
             added, _ = cons.try_add(vec)
             if added:
-                combo = tuple(
-                    (monos[key], kernel[key]) for key in sorted(kernel)
-                )
+                keys = sorted(dep)
+                # the one place a Fraction is built: the kernel, normalised at idx
+                combo = tuple((monos[k], Fraction(dep[k], dep[idx])) for k in keys)
                 rel = Relation(weight=2 * d, combo=combo)
                 relations.append(rel)
                 new_rels.append(rel)
+                relation_rows.append((d, tuple((monos[k], dep[k]) for k in keys)))
             else:
                 absorbed += 1
         # fill the complement with Riemann-Roch sections

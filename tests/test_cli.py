@@ -347,3 +347,21 @@ def test_field_size_is_bounded_before_any_work(capsys):
     assert code == 2
     assert out == ""
     assert "65536" in err
+
+
+def test_level_degree_is_bounded_before_any_coefficients_are_built(capsys):
+    # 'T^3000000' would otherwise build three million coefficients first
+    code, out, err = run(capsys, "parity", "--q", "5", "--group", "gamma0:T^3000000")
+    assert code == 2
+    assert out == ""
+    assert "POLY_DEG_MAX = 4096" in err
+
+
+def test_dims_k_max_is_bounded_before_the_table_is_built(capsys):
+    code, out, err = run(capsys, "dims", "--q", "5", "--k-max", "1002")
+    assert code == 2
+    assert out == ""
+    assert "DIMS_K_MAX = 1000" in err
+    code, out, _ = run(capsys, "dims", "--q", "5", "--k-max", "1000")
+    assert code == 0
+    assert len(out.splitlines()) == 1 + 1000

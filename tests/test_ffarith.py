@@ -124,6 +124,16 @@ def test_parse_poly_errors_carry_positions():
         assert e.pos == 2
 
 
+def test_parse_poly_degree_is_capped_per_term():
+    F7 = get_field(7)
+    assert parse_poly("T^4096+1", F7).degree == 4096
+    for bad, pos in (("T^4097", 0), ("1+T^4000*2*T^97", 2)):
+        with pytest.raises(ParseError) as info:
+            parse_poly(bad, F7)
+        assert info.value.pos == pos
+        assert "POLY_DEG_MAX = 4096" in str(info.value)
+
+
 def test_generator_symbol_only_in_extension_fields():
     with pytest.raises(ParseError):
         parse_poly("a*T", get_field(7))

@@ -1,10 +1,12 @@
-"""Byte-for-byte replay of the recorded extension-field CLI outputs.
+"""Byte-for-byte replay of recorded CLI outputs.
 
 The benchmark's golden records (perfbench/golden/*.json) hold the exit code
-and stdout sha256 of every request it can send.  This test replays the ones
+and stdout sha256 of every request it can send.  One test replays the ones
 over F_9, F_25 and F_27, where the element coding differs from the value,
 except the slowest few (the gamma1 witness searches over F_9 and the gammaN
-cusp orbits over F_25 and F_27).
+cusp orbits over F_25 and F_27).  Another replays the prime-field
+`sectionring` requests at q = 3, where the presentation engine's exact row
+reduction decides every generator and relation.
 """
 
 from __future__ import annotations
@@ -22,34 +24,65 @@ GOLDEN = os.path.join(os.path.dirname(__file__), os.pardir, "perfbench", "golden
 EXTENSION_Q = ("9", "25", "27")
 
 
-def _requests():
-    out = []
-    for workload in ("search", "cusps", "forms"):
+def _records(workloads):
+    """(key, argv, option dict, expected) for every golden request."""
+    for workload in workloads:
         with open(os.path.join(GOLDEN, "%s.json" % workload)) as fh:
             records = json.load(fh)["requests"]
         for key, expected in records.items():
             argv = shlex.split(key)
-            if "--q" not in argv or argv[argv.index("--q") + 1] not in EXTENSION_Q:
-                continue
-            q = argv[argv.index("--q") + 1]
-            group = argv[argv.index("--group") + 1] if "--group" in argv else ""
-            if argv[0] == "ellsearch" and q == "9" and group.startswith("gamma1"):
-                continue
-            if argv[0] == "cusps" and q != "9" and group.startswith("gammaN"):
-                continue
-            out.append((key, argv, expected))
-    return out
+            opts = dict(zip(argv[1::2], argv[2::2]))
+            yield key, argv, opts, expected
 
 
-def test_extension_field_outputs_match_the_golden_record():
-    requests = _requests()
-    assert len(requests) == 124
+def _mismatches(requests):
     mismatched = []
-    for key, argv, expected in requests:
+    for key, argv, _, expected in requests:
         out = io.StringIO()
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
             code = main(argv)
         sha = hashlib.sha256(out.getvalue().encode("utf-8")).hexdigest()
         if (code, sha) != (expected["code"], expected["sha256"]):
             mismatched.append(key)
-    assert mismatched == []
+    return mismatched
+
+
+def _extension_field_requests():
+    out = []
+    for key, argv, opts, expected in _records(("search", "cusps", "forms")):
+        q = opts.get("--q")
+        if q not in EXTENSION_Q:
+            continue
+        group = opts.get("--group", "")
+        if argv[0] == "ellsearch" and q == "9" and group.startswith("gamma1"):
+            continue
+        if argv[0] == "cusps" and q != "9" and group.startswith("gammaN"):
+            continue
+        out.append((key, argv, opts, expected))
+    return out
+
+
+def _sectionring_q3_requests():
+    """Gamma0T_2 up to weight 34, its first budget exit in each format, all GL2A_2."""
+    out = []
+    for key, argv, opts, expected in _records(("forms",)):
+        if argv[0] != "sectionring" or opts.get("--q") != "3":
+            continue
+        preset, weight = opts["--preset"], int(opts["--max-weight"])
+        if preset == "GL2A_2" or (preset == "Gamma0T_2" and (weight <= 34 or weight == 38)):
+            out.append((key, argv, opts, expected))
+    return out
+
+
+def test_extension_field_outputs_match_the_golden_record():
+    requests = _extension_field_requests()
+    assert len(requests) == 124
+    assert _mismatches(requests) == []
+
+
+def test_prime_field_sectionring_outputs_match_the_golden_record():
+    requests = _sectionring_q3_requests()
+    assert len(requests) == 50
+    exits = [r for r in requests if r[3]["code"] == 3]
+    assert sorted(r[2]["--format"] for r in exits) == ["json", "table"]
+    assert _mismatches(requests) == []
