@@ -32,26 +32,14 @@ class Mat2:
     __slots__ = ("a", "b", "c", "d", "det")
 
     def __init__(self, a, b, c, d):
-        if not self._fill(a, b, c, d):
-            raise ValueError("determinant must be a nonzero constant")
-
-    def _fill(self, a, b, c, d):
-        """Set the entries and det if a*d - b*c is a nonzero constant; report which."""
         det = a * d - b * c
         if det.is_zero() or not det.is_constant():
-            return False
+            raise ValueError("determinant must be a nonzero constant")
         self.a = a
         self.b = b
         self.c = c
         self.d = d
         self.det = det.constant_value()
-        return True
-
-    @classmethod
-    def if_unit(cls, a, b, c, d):
-        """The matrix if its determinant is a nonzero constant, else None."""
-        m = cls.__new__(cls)
-        return m if m._fill(a, b, c, d) else None
 
     @classmethod
     def identity(cls, field):

@@ -3,12 +3,15 @@
 Three computations feed the divisor construction downstream:
 
   * cusps: orbits of primitive vectors in (A/N)^2 under the group's image
-    mod N together with scalar rescaling, found by breadth-first closure
-    under an explicit, inverse-closed generating set per family;
+    mod N together with scalar rescaling, found by forward closure under a
+    small generating set per family (the group mod N is finite, so no
+    inverses are needed);
   * elliptic witnesses: exhaustive search of a family-shaped parameter box
     for non-scalar members whose fixed-point quadratic
     z^2 + ((d-a)/c) z - b/c is irreducible over K (equivalently, whose
-    discriminant is not a square in K), each recorded with its determinant;
+    discriminant ((a+d)^2 - 4 det)/c^2 is not a square in K); the box is
+    walked over (a, c, d) and b is solved from each allowed determinant,
+    and each witness is recorded with its determinant;
   * parity: square / non-square classification of the group from the
     witness determinants, which fixes the stabilizer index [G_e : (G_2)_e].
 
@@ -24,15 +27,14 @@ from dataclasses import dataclass
 
 from .congruence import GroupSpec, Mat2, member
 from .ffarith import (
-    Fq,
     FqElem,
     PolyA,
     RatK,
     WorkBoundError,
     _poly,
     is_square_fq,
-    is_square_k,
     poly_ext_gcd,
+    poly_sqrt,
 )
 
 ELLIPTIC_BOX_LIMIT = 500_000
@@ -141,43 +143,43 @@ def primitive_vectors(N):
 
 
 def _mod_n_generators(G, N):
-    """An inverse-closed generating set of <image of G mod N, scalars>.
+    """A generating set of <image of G mod N, scalars>.
 
-    Matrices are (a, b, c, d) tuples of residues.  Scalars realize the
-    F_q^x rescaling of primitive vectors; the rest generate the group's
-    image mod N: elementary matrices compatible with the congruence shape,
-    diagonal torus elements, and determinant-coset representatives.
+    Matrices are (a, b, c, d) tuples of residues.  The group mod N is
+    finite, so a forward closure under any generating set reaches a whole
+    orbit and no inverses are listed.  gen*I generates the scalars, which
+    realize the F_q^x rescaling of primitive vectors.  The rest generate the
+    group's image mod N: the elementary matrices (1, x; 0, 1), and
+    (1, 0; x, 1) for the full group, with x over the F_p-basis a_j T^i of
+    A/N (a_j the element of code p^j); one diagonal matrix whose determinant
+    generates the allowed determinant subgroup; and for gamma0 and the full
+    group the torus (r, 0; 0, r^-1) over all units r mod N.
     """
     field = N.field
     zero = PolyA.zero(field)
     one = PolyA.one(field)
-    res = _residues(N)
-    nonzero = [r for r in res if not r.is_zero()]
-    units = []
-    for r in res:
-        g, s, _ = poly_ext_gcd(r, N)
-        if g == one:
-            units.append((r, s % N))
-    gens = []
-    for alpha in field.nonzero_elements():
-        ap = PolyA.const(field, alpha)
-        gens.append((ap, zero, zero, ap))
+    scalar = PolyA.const(field, field.gen)
+    gens = [(scalar, zero, zero, scalar)]
     if G.family == "gammaN":
         return gens
+    basis = [
+        _poly(field, [0] * i + [field.p**j])
+        for i in range(N.degree)
+        for j in range(field.e)
+    ]
+    gens.extend((one, x, zero, one) for x in basis)
     det_vals = G.det_values(field)
-    for x in nonzero:
-        gens.append((one, x, zero, one))
+    delta = PolyA.const(field, det_vals[1 % len(det_vals)])
     if G.family == "gamma1":
-        for delta in det_vals:
-            gens.append((one, zero, zero, PolyA.const(field, delta)))
+        gens.append((one, zero, zero, delta))
         return gens
-    for r, rinv in units:
-        gens.append((r, zero, zero, rinv))
-    for delta in det_vals:
-        gens.append((PolyA.const(field, delta), zero, zero, one))
+    for r in _residues(N):
+        g, s, _ = poly_ext_gcd(r, N)
+        if g == one:
+            gens.append((r, zero, zero, s % N))
+    gens.append((delta, zero, zero, one))
     if G.family == "full":
-        for x in nonzero:
-            gens.append((one, zero, x, one))
+        gens.extend((one, zero, x, one) for x in basis)
     return gens
 
 
@@ -234,11 +236,17 @@ def elliptic_search(G, deg_bound, field=None):
 
     Box shapes (parameters range over all polynomials of degree <=
     deg_bound): full (a, b; c, d); gamma1 (aN+1, b; cN, d); gamma0
-    (a1*N+a0, b; cN, d) with linear level N.  A member is kept as a witness
-    when its lower-left entry is nonzero and the fixed-point discriminant
-    is nonzero and not a square in K.  Output is sorted lexicographically
-    on matrix entries.
+    (a1*N+a0, b; cN, d) with linear level N, where a1*N + a0 runs over
+    every polynomial of degree <= deg_bound + 1.  The box is walked over
+    (a, c, d) with c nonzero, and b is solved from the determinant: for
+    each allowed determinant delta, b = (ad - delta)/c is kept when the
+    division is exact and deg b <= deg_bound.  A member is kept as a
+    witness when its fixed-point discriminant ((a+d)^2 - 4*delta)/c^2 is
+    nonzero and not a square in K, that is, when (a+d)^2 - 4*delta is not
+    a square in A.  Output is sorted lexicographically on matrix entries.
     """
+    if deg_bound < 0:
+        raise ValueError("deg_bound must be non-negative, got %d" % deg_bound)
     field = G.field_for(field)
     if G.family == "gammaN":
         raise ValueError("witness search is not defined for identity-congruence groups")
@@ -250,47 +258,39 @@ def elliptic_search(G, deg_bound, field=None):
     if per**n_params > ELLIPTIC_BOX_LIMIT:
         raise WorkBoundError("elliptic search box too large")
     polys = _polys_up_to(field, deg_bound)
-    one = PolyA.one(field)
     N = G.level
-    seen = set()
-    witnesses = []
     if G.family == "full":
-        combos = ((a, b, c, d) for a, b, c, d in itertools.product(polys, repeat=4))
-    elif G.family == "gamma1":
-        combos = (
-            (a * N + one, b, c * N, d)
-            for a, b, c, d in itertools.product(polys, repeat=4)
-        )
+        a_vals, c_vals = polys, polys[1:]
     else:
-        combos = (
-            (a1 * N + a0, b, c * N, d)
-            for a1, a0, b, c, d in itertools.product(polys, repeat=5)
-        )
-    four = RatK.from_value(field, 4)
-    for a, b, c, d in combos:
-        if c.is_zero():
-            continue
-        gamma = Mat2.if_unit(a, b, c, d)
-        if gamma is None or not member(gamma, G):
-            continue
-        key = gamma.entries()
-        if key in seen:
-            continue
-        seen.add(key)
-        quad_b = RatK(d - a, c)
-        quad_c = RatK(-b, c)
-        disc = quad_b * quad_b - four * quad_c
-        if disc.is_zero() or is_square_k(disc):
-            continue
-        witnesses.append(
-            EllipticWitness(
-                gamma=gamma,
-                quad_b=quad_b,
-                quad_c=quad_c,
-                det=gamma.det,
-                det_is_square=is_square_fq(gamma.det),
+        c_vals = [c * N for c in polys[1:]]
+        if G.family == "gamma1":
+            a_vals = [a * N + 1 for a in polys]
+        else:
+            a_vals = _polys_up_to(field, deg_bound + 1)
+    dets = [PolyA.const(field, x) for x in G.det_values(field)]
+    witnesses = []
+    for a, c, d in itertools.product(a_vals, c_vals, polys):
+        ad = a * d
+        tr = a + d
+        for delta in dets:
+            b, r = divmod(ad - delta, c)
+            if r or b.degree > deg_bound:
+                continue
+            gamma = Mat2(a, b, c, d)
+            if not member(gamma, G):
+                continue
+            disc = tr * tr - delta * 4
+            if disc.is_zero() or poly_sqrt(disc) is not None:
+                continue
+            witnesses.append(
+                EllipticWitness(
+                    gamma=gamma,
+                    quad_b=RatK(d - a, c),
+                    quad_c=RatK(-b, c),
+                    det=gamma.det,
+                    det_is_square=is_square_fq(gamma.det),
+                )
             )
-        )
     witnesses.sort(key=lambda w: w.gamma.sort_key())
     return witnesses
 

@@ -990,21 +990,14 @@ def is_square_kinf(f, require_prec=2):
     """Squareness of a nonzero truncated series in K_inf = F_q((1/T)).
 
     True iff the valuation is even and the leading coefficient is a square
-    in F_q; for odd q these conditions are exact.  The square root is lifted
-    over the full window and multiplied back as a consistency check.
+    in F_q.  For odd q this test is exact: a unit series with square leading
+    coefficient has a square root by Hensel's lemma, so no root is lifted.
     """
     if f.is_zero():
         raise ValueError("squareness of the zero series is not defined")
     if f.prec < require_prec:
         raise PrecisionError("need at least %d coefficients" % require_prec)
-    if f.val % 2 != 0:
-        return False
-    if sqrt_fq(f.leading_coeff()) is None:
-        return False
-    y = f.sqrt()
-    if (y * y) != f.truncate((y * y).prec):
-        raise AssertionError("square-root refinement lost consistency")
-    return True
+    return f.val % 2 == 0 and is_square_fq(f.leading_coeff())
 
 
 def quad_irreducible_kinf(b, c, prec=DEFAULT_PREC):

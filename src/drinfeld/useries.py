@@ -20,6 +20,7 @@ from .ffarith import ParseError, PolyA, RatK, format_poly, parse_poly
 from .weights import WeightType, decompose_gamma2, graded_mult_type
 
 DEFAULT_USERIES_PREC = 64
+USERIES_EXP_MAX = 4096
 
 
 class SupportError(ValueError):
@@ -301,7 +302,8 @@ _TERM_RE = re.compile(r"(?:(?P<c>.+)\*)?u(?:\^(?P<e>[0-9]+))?$")
 def parse_useries(text, field, weight=0, type_residue=None, prec=None):
     """Parse a sum of c*u^n terms; coefficients use the polynomial grammar.
 
-    Examples: "u^2+3*u^4", "(T+1)*u - 2", "0".
+    Examples: "u^2+3*u^4", "(T+1)*u - 2", "0".  An exponent above
+    USERIES_EXP_MAX is rejected before any coefficient list is built.
     """
     src = text.replace(" ", "")
     if not src:
@@ -344,6 +346,12 @@ def parse_useries(text, field, weight=0, type_residue=None, prec=None):
             else:
                 coeff = RatK(parse_poly(_strip_parens(ctext), field))
             n = int(m.group("e")) if m.group("e") is not None else 1
+            if n > USERIES_EXP_MAX:
+                raise ParseError(
+                    "exponent %d exceeds the supported maximum USERIES_EXP_MAX = %d"
+                    % (n, USERIES_EXP_MAX),
+                    0,
+                )
         if sgn < 0:
             coeff = -coeff
         terms[n] = terms.get(n, RatK.from_value(field, 0)) + coeff

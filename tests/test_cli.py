@@ -6,6 +6,7 @@ import json
 
 import pytest
 
+from drinfeld import Parity
 from drinfeld.cli import main
 
 
@@ -58,18 +59,30 @@ def test_parity_of_a_square_determinant_group(capsys):
     assert payload["witness"] is None
 
 
-def test_parity_reports_undecided_searches_with_exit_zero(capsys):
-    code, out, err = run(
-        capsys, "parity", "--q", "3", "--group", "gamma0:T", "--deg-bound", "-1"
+def test_parity_reports_undecided_searches_with_exit_zero(capsys, monkeypatch):
+    # no group and bound >= 0 is known whose witness box comes up empty, so
+    # the rendering of an undecided search is checked on a stubbed result
+    monkeypatch.setattr(
+        "drinfeld.cli.parity", lambda G, bound, field: Parity("NoWitnessFound", 0)
     )
+    code, out, err = run(capsys, "parity", "--q", "3", "--group", "gamma0:T")
     assert code == 0
-    assert out.splitlines()[0] == "classification: undecided(-1)"
-    payload = run_json(
-        capsys, "parity", "--q", "3", "--group", "gamma0:T", "--deg-bound", "-1"
-    )
+    assert out.splitlines()[0] == "classification: undecided(0)"
+    payload = run_json(capsys, "parity", "--q", "3", "--group", "gamma0:T")
     assert payload["classification"] == "undecided"
-    assert payload["bound"] == -1
+    assert payload["bound"] == 0
     assert payload["witness"] is None
+
+
+@pytest.mark.parametrize("command", ["parity", "ellsearch"])
+@pytest.mark.parametrize("bound", ["-1", "-3"])
+def test_negative_degree_bound_exits_2(capsys, command, bound):
+    code, out, err = run(
+        capsys, command, "--q", "3", "--group", "gamma0:T", "--deg-bound", bound
+    )
+    assert code == 2
+    assert out == ""
+    assert "got %s" % bound in err
 
 
 # ------------------------------------------------------------------- dims
@@ -216,6 +229,17 @@ def test_split_json_golden(capsys):
         "series": "3*u^4",
         "terms": [{"n": 4, "coeff": "3"}],
     }
+
+
+def test_split_exponent_is_bounded_before_the_series_is_built(capsys):
+    # 'u^2000000' would otherwise allocate two million coefficients first
+    for series in ("u^2000000", "u^4097"):
+        code, out, err = run(capsys, "split", "--q", "5", "--k", "4", series)
+        assert code == 2
+        assert out == ""
+        assert "USERIES_EXP_MAX = 4096" in err
+    code, out, _ = run(capsys, "split", "--q", "5", "--k", "4", "u^4096")
+    assert code == 0
 
 
 def test_split_support_violation_exits_4(capsys):

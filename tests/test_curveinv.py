@@ -2,12 +2,16 @@
 
 from __future__ import annotations
 
+import itertools
+
 import pytest
 
 from drinfeld import (
     CuspSet,
     EllipticWitness,
+    Fq,
     GroupSpec,
+    Mat2,
     Parity,
     PolyA,
     RatK,
@@ -22,7 +26,9 @@ from drinfeld import (
     laurent_expand,
     member,
     parity,
+    parse_group,
     parse_poly,
+    poly_ext_gcd,
     primitive_vectors,
     stabilizer_index,
 )
@@ -118,6 +124,83 @@ def test_cusps_enforce_the_level_degree_bound():
         cusps(GroupSpec("gamma0", t * t * t), F)
 
 
+def _reference_polys(field, deg_bound):
+    elems = field.elements()
+    return [PolyA(field, list(c)) for c in itertools.product(elems, repeat=deg_bound + 1)]
+
+
+def _reference_generators(G, N):
+    """An inverse-closed generating set of <image of G mod N, scalars>:
+    every scalar, every elementary matrix, every unit of the torus and
+    every allowed determinant."""
+    field = N.field
+    zero, one = PolyA.zero(field), PolyA.one(field)
+    res = _reference_polys(field, N.degree - 1)
+    nonzero = [r for r in res if not r.is_zero()]
+    scalars = [PolyA.const(field, x) for x in field.nonzero_elements()]
+    gens = [(x, zero, zero, x) for x in scalars]
+    if G.family == "gammaN":
+        return gens
+    deltas = [PolyA.const(field, x) for x in G.det_values(field)]
+    gens += [(one, x, zero, one) for x in nonzero]
+    if G.family == "gamma1":
+        return gens + [(one, zero, zero, delta) for delta in deltas]
+    for r in res:
+        g, s, _ = poly_ext_gcd(r, N)
+        if g == one:
+            gens.append((r, zero, zero, s % N))
+    gens += [(delta, zero, zero, one) for delta in deltas]
+    if G.family == "full":
+        gens += [(one, zero, x, one) for x in nonzero]
+    return gens
+
+
+def _reference_cusps(G, field):
+    N = G.level if G.level is not None else PolyA.T(field)
+    gens = _reference_generators(G, N)
+    prim = primitive_vectors(N)
+    key = lambda w: (w[0].sort_key(), w[1].sort_key())
+    seen, keyed = set(), []
+    for start in prim:
+        if start in seen:
+            continue
+        orbit, frontier = {start}, [start]
+        while frontier:
+            u, v = frontier.pop()
+            for a, b, c, d in gens:
+                w = ((a * u + b * v) % N, (c * u + d * v) % N)
+                if w not in orbit:
+                    orbit.add(w)
+                    frontier.append(w)
+        seen |= orbit
+        keyed.append((min(orbit, key=key), len(orbit)))
+    keyed.sort(key=lambda item: key(item[0]))
+    return CuspSet(tuple(r for r, _ in keyed), tuple(n for _, n in keyed), len(prim))
+
+
+# one level of each factor type: linear, irreducible, split, square
+_CUSP_GROUPS_Q3 = ["full", "full!sq", "full!one"] + [
+    "%s:%s%s" % (family, level, suffix)
+    for family in ("gammaN", "gamma1", "gamma0")
+    for level in ("T", "T^2+1", "T^2+2", "T^2")
+    for suffix in ("", "!sq", "!one")
+]
+_CUSP_GROUPS_Q9 = ["full", "full!sq", "full!idx4", "full!one"] + [
+    "%s:T+1%s" % (family, suffix)
+    for family in ("gammaN", "gamma1", "gamma0")
+    for suffix in ("", "!sq", "!idx4", "!one")
+]
+
+
+@pytest.mark.parametrize(
+    "q, text", [(3, t) for t in _CUSP_GROUPS_Q3] + [(9, t) for t in _CUSP_GROUPS_Q9]
+)
+def test_cusps_match_the_closure_under_an_inverse_closed_generating_set(q, text):
+    F = get_field(q)
+    G = parse_group(text, F)
+    assert cusps(G, F) == _reference_cusps(G, F)
+
+
 # ------------------------------------------------------- elliptic search
 
 
@@ -176,6 +259,62 @@ def test_gamma1_witnesses_are_gamma0_witnesses():
     assert {w.gamma.entries() for w in w1} <= {w.gamma.entries() for w in w0}
 
 
+def _reference_search(G, deg_bound, field):
+    """Every (a, b, c, d) of the family's box, filtered one matrix at a time."""
+    polys = _reference_polys(field, deg_bound)
+    N, one = G.level, PolyA.one(field)
+    if G.family == "full":
+        box = itertools.product(polys, repeat=4)
+    elif G.family == "gamma1":
+        box = ((a * N + one, b, c * N, d) for a, b, c, d in itertools.product(polys, repeat=4))
+    else:
+        box = (
+            (a1 * N + a0, b, c * N, d)
+            for a1, a0, b, c, d in itertools.product(polys, repeat=5)
+        )
+    four = RatK.from_value(field, 4)
+    seen, out = set(), []
+    for a, b, c, d in box:
+        if c.is_zero():
+            continue
+        try:
+            gamma = Mat2(a, b, c, d)
+        except ValueError:
+            continue
+        if not member(gamma, G) or gamma.entries() in seen:
+            continue
+        seen.add(gamma.entries())
+        quad_b, quad_c = RatK(d - a, c), RatK(-b, c)
+        disc = quad_b * quad_b - four * quad_c
+        if disc.is_zero() or is_square_k(disc):
+            continue
+        out.append(EllipticWitness(gamma, quad_b, quad_c, gamma.det, is_square_fq(gamma.det)))
+    return sorted(out, key=lambda w: w.gamma.sort_key())
+
+
+_SEARCH_CASES = [
+    (q, modulus, 0) for q, modulus in [(3, None), (5, None), (9, (1, 0, 1)), (9, (2, 1, 1))]
+] + [(3, None, 1)]
+
+
+@pytest.mark.parametrize("q, modulus, deg_bound", _SEARCH_CASES)
+@pytest.mark.parametrize("family", ["full", "gamma1:T+1", "gamma0:T+1"])
+@pytest.mark.parametrize("suffix", ["", "!sq", "!one"])
+def test_witness_search_matches_the_four_parameter_box(q, modulus, deg_bound, family, suffix):
+    F = get_field(q) if modulus is None else Fq(q, modulus=modulus)
+    G = parse_group(family + suffix, F)
+    assert elliptic_search(G, deg_bound, F) == _reference_search(G, deg_bound, F)
+
+
+@pytest.mark.parametrize("q", [3, 5, 7, 9])
+def test_full_group_witnesses_are_the_elliptic_elements_of_gl2_fq(q):
+    # at degree 0 the witnesses are the matrices of GL2(F_q) with
+    # irreducible characteristic polynomial: (q^2 - q)/2 monic irreducible
+    # quadratics, each with a conjugacy class of q(q - 1) elements
+    ws = elliptic_search(GroupSpec("full", None), 0, get_field(q))
+    assert len(ws) == q * q * (q - 1) ** 2 // 2
+
+
 def test_witness_search_rejects_unsupported_groups_and_huge_boxes():
     F = get_field(7)
     t = PolyA.T(F)
@@ -183,6 +322,8 @@ def test_witness_search_rejects_unsupported_groups_and_huge_boxes():
         elliptic_search(GroupSpec("gammaN", t), 0, F)
     with pytest.raises(ValueError):
         elliptic_search(GroupSpec("gamma0", t * t), 0, F)
+    with pytest.raises(ValueError, match="got -1"):
+        elliptic_search(GroupSpec("gamma0", t), -1, F)
     with pytest.raises(WorkBoundError):
         elliptic_search(GroupSpec("full", None), 1, F)  # 49^4 matrices
     F5 = get_field(5)

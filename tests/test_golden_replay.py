@@ -1,12 +1,11 @@
 """Byte-for-byte replay of recorded CLI outputs.
 
 The benchmark's golden records (perfbench/golden/*.json) hold the exit code
-and stdout sha256 of every request it can send.  One test replays the ones
-over F_9, F_25 and F_27, where the element coding differs from the value,
-except the slowest few (the gamma1 witness searches over F_9 and the gammaN
-cusp orbits over F_25 and F_27).  Another replays the prime-field
-`sectionring` requests at q = 3, where the presentation engine's exact row
-reduction decides every generator and relation.
+and stdout sha256 of every request it can send.  One test replays all of
+the ones over F_9, F_25 and F_27, where the element coding differs from the
+value.  Another replays the prime-field `sectionring` requests at q = 3,
+where the presentation engine's exact row reduction decides every generator
+and relation.
 """
 
 from __future__ import annotations
@@ -51,14 +50,8 @@ def _extension_field_requests():
     out = []
     for key, argv, opts, expected in _records(("search", "cusps", "forms")):
         q = opts.get("--q")
-        if q not in EXTENSION_Q:
-            continue
-        group = opts.get("--group", "")
-        if argv[0] == "ellsearch" and q == "9" and group.startswith("gamma1"):
-            continue
-        if argv[0] == "cusps" and q != "9" and group.startswith("gammaN"):
-            continue
-        out.append((key, argv, opts, expected))
+        if q in EXTENSION_Q:
+            out.append((key, argv, opts, expected))
     return out
 
 
@@ -76,7 +69,7 @@ def _sectionring_q3_requests():
 
 def test_extension_field_outputs_match_the_golden_record():
     requests = _extension_field_requests()
-    assert len(requests) == 124
+    assert len(requests) == 134
     assert _mismatches(requests) == []
 
 
