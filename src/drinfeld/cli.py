@@ -28,6 +28,8 @@ from .weights import VanishingProfile, dim_gamma0T, type_solutions, valence_chec
 
 SCHEMA = "drinfeld/1"
 DIMS_K_MAX = 1000
+# admits the full-group truncation 4(q+1) of acceptance 5 for every q <= Q_MAX
+SECTIONRING_WEIGHT_MAX = 4 * (Q_MAX + 1)
 
 
 def _field(args):
@@ -156,6 +158,11 @@ def _combo_text(combo):
 def cmd_sectionring(args):
     if args.max_weight % 2 != 0 or args.max_weight < 2:
         raise ValueError("--max-weight must be a positive even integer")
+    if args.max_weight > SECTIONRING_WEIGHT_MAX:
+        raise ValueError(
+            "--max-weight %d exceeds the supported maximum SECTIONRING_WEIGHT_MAX = %d"
+            % (args.max_weight, SECTIONRING_WEIGHT_MAX)
+        )
     field = _field(args)
     inv = assemble_invariants(args.preset, field)
     D = log_canonical_divisor(inv)
@@ -346,7 +353,9 @@ def build_parser():
     sp = sub.add_parser("sectionring", help="generators and relations")
     _add_common(sp)
     sp.add_argument("--preset", choices=PRESETS, required=True)
-    sp.add_argument("--max-weight", type=int, required=True)
+    sp.add_argument(
+        "--max-weight", type=int, required=True, help="even, at most %d" % SECTIONRING_WEIGHT_MAX
+    )
     sp.set_defaults(func=cmd_sectionring)
 
     sp = sub.add_parser("split", help="sort a series into its two type classes")

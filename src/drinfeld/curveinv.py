@@ -1,6 +1,6 @@
 """Invariants of Drinfeld modular curves for congruence subgroups.
 
-Three computations feed the divisor construction downstream:
+Three computations give invariants of a congruence subgroup:
 
   * cusps: orbits of primitive vectors in (A/N)^2 under the group's image
     mod N together with scalar rescaling, found by forward closure under a
@@ -15,9 +15,10 @@ Three computations feed the divisor construction downstream:
   * parity: square / non-square classification of the group from the
     witness determinants, which fixes the stabilizer index [G_e : (G_2)_e].
 
-Two preset curves bundle the invariants (genus, cusps, stabilizer orders)
-with hard values where only the final numbers are published: the full-group
-square-determinant curve and the Gamma_0(T) square-determinant curve.
+The two preset curves, the full-group square-determinant curve and the
+Gamma_0(T) square-determinant curve, are published data: genus and the
+stabilizer orders of their cusps and elliptic points as closed forms in q.
+The computations above are their test oracles, not their inputs.
 """
 
 from __future__ import annotations
@@ -100,7 +101,6 @@ class EllipticPointRecord:
     """One elliptic point with its stabilizer orders (modulo scalars) in the
     group and in its square-determinant subgroup."""
 
-    witness: EllipticWitness | None
     stab_order: int
     stab_order_sq: int
 
@@ -110,10 +110,8 @@ class CurveInvariants:
     q: int
     group: GroupSpec
     genus: int
-    cusps: CuspSet
     cusp_stab_orders: tuple
     elliptic_points: tuple
-    parity: Parity
 
 
 def _residues(N):
@@ -253,9 +251,9 @@ def elliptic_search(G, deg_bound, field=None):
     if G.family in ("gamma1", "gamma0"):
         if G.level.degree != 1:
             raise ValueError("witness search requires a linear level")
-    n_params = {"full": 4, "gamma1": 4, "gamma0": 5}[G.family]
-    per = field.q ** (deg_bound + 1)
-    if per**n_params > ELLIPTIC_BOX_LIMIT:
+    # box size q^exponent; as q > 2, an exponent of the limit's bit length exceeds it
+    exponent = (deg_bound + 1) * {"full": 4, "gamma1": 4, "gamma0": 5}[G.family]
+    if exponent >= ELLIPTIC_BOX_LIMIT.bit_length() or field.q**exponent > ELLIPTIC_BOX_LIMIT:
         raise WorkBoundError("elliptic search box too large")
     polys = _polys_up_to(field, deg_bound)
     N = G.level
@@ -295,19 +293,15 @@ def elliptic_search(G, deg_bound, field=None):
     return witnesses
 
 
-def classify_parity(witnesses, deg_bound):
-    """Square / non-square classification of a search's witness list."""
+def parity(G, deg_bound, field=None):
+    """Square / non-square classification from the witness determinants."""
+    witnesses = elliptic_search(G, deg_bound, field)
     if not witnesses:
         return Parity("NoWitnessFound", deg_bound)
     for w in witnesses:
         if not w.det_is_square:
             return Parity("NonSquare", deg_bound, w)
     return Parity("Square", deg_bound)
-
-
-def parity(G, deg_bound, field=None):
-    """Square / non-square classification from the witness determinants."""
-    return classify_parity(elliptic_search(G, deg_bound, field), deg_bound)
 
 
 def stabilizer_index(p):
@@ -345,32 +339,19 @@ def assemble_invariants(preset, field):
     """
     q = field.q
     if preset == "GL2A_2":
-        base = GroupSpec("full", None)
-        curve_group = GroupSpec("full", None, 2)
-        witnesses = elliptic_search(base, 0, field)
-        par = classify_parity(witnesses, 0)
-        rep = witnesses[0] if witnesses else None
         return CurveInvariants(
             q=q,
-            group=curve_group,
+            group=GroupSpec("full", None, 2),
             genus=0,
-            cusps=cusps(curve_group, field),
             cusp_stab_orders=((q - 1) // 2,),
-            elliptic_points=(EllipticPointRecord(rep, q + 1, (q + 1) // 2),),
-            parity=par,
+            elliptic_points=(EllipticPointRecord(q + 1, (q + 1) // 2),),
         )
     if preset == "Gamma0T_2":
-        t = PolyA.T(field)
-        base = GroupSpec("gamma0", t)
-        curve_group = GroupSpec("gamma0", t, 2)
-        par = parity(base, 0, field)
         return CurveInvariants(
             q=q,
-            group=curve_group,
+            group=GroupSpec("gamma0", PolyA.T(field), 2),
             genus=0,
-            cusps=cusps(curve_group, field),
             cusp_stab_orders=((q - 1) // 2, (q - 1) // 2),
             elliptic_points=(),
-            parity=par,
         )
     raise ValueError("unknown preset %r" % (preset,))

@@ -194,13 +194,13 @@ def log_canonical_divisor(inv):
     """
     if inv.genus != 0:
         raise ValueError("only genus 0 is supported")
-    if len(inv.elliptic_points) > 1 or inv.cusps.count > 2:
+    if len(inv.elliptic_points) > 1 or len(inv.cusp_stab_orders) > 2:
         raise ValueError("more than 3 special points")
     coeffs = {QPoint.INFINITY: Fraction(-2)}
     for ep in inv.elliptic_points:
         e = ep.stab_order_sq
         coeffs[QPoint.ONE] = coeffs.get(QPoint.ONE, Fraction(0)) + 1 - Fraction(1, e)
-    if inv.cusps.count == 1:
+    if len(inv.cusp_stab_orders) == 1:
         spots = (QPoint.INFINITY,)
     else:
         spots = (QPoint.ZERO, QPoint.INFINITY)
@@ -345,11 +345,12 @@ def _monomials(degrees, total):
     out = []
 
     def rec(i, remaining, prefix):
-        if i == len(degrees):
-            if remaining == 0:
-                out.append(tuple(prefix))
-            return
         step = degrees[i]
+        if i == len(degrees) - 1:
+            # the last exponent is forced
+            if remaining % step == 0:
+                out.append(tuple(prefix) + (remaining // step,))
+            return
         for e in range(remaining // step, -1, -1):
             prefix.append(e)
             rec(i + 1, remaining - e * step, prefix)

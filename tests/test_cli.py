@@ -3,11 +3,12 @@
 from __future__ import annotations
 
 import json
+import time
 
 import pytest
 
 from drinfeld import Parity
-from drinfeld.cli import main
+from drinfeld.cli import SECTIONRING_WEIGHT_MAX, main
 
 
 def run(capsys, *argv):
@@ -389,3 +390,56 @@ def test_dims_k_max_is_bounded_before_the_table_is_built(capsys):
     code, out, _ = run(capsys, "dims", "--q", "5", "--k-max", "1000")
     assert code == 0
     assert len(out.splitlines()) == 1 + 1000
+
+
+def test_sectionring_max_weight_is_bounded_before_the_field_is_built(
+    capsys, monkeypatch
+):
+    # acceptance 5 truncates at 4(q+1); 65521 is the largest odd q <= Q_MAX
+    assert SECTIONRING_WEIGHT_MAX >= 4 * (65521 + 1)
+
+    def no_field(*args, **kwargs):
+        raise AssertionError("field built for a rejected weight")
+
+    monkeypatch.setattr("drinfeld.cli.Fq", no_field)
+    code, out, err = run(
+        capsys, "sectionring", "--q", "65521", "--preset", "GL2A_2",
+        "--max-weight", str(SECTIONRING_WEIGHT_MAX + 2),
+    )
+    assert code == 2
+    assert out == ""
+    assert "SECTIONRING_WEIGHT_MAX = %d" % SECTIONRING_WEIGHT_MAX in err
+
+
+def test_sectionring_at_the_weight_limit_exits_3_promptly(capsys):
+    # one weight-2 generator: each degree's monomial is found directly, so
+    # the budget trips after 25,000 degrees, not after a quadratic walk
+    start = time.perf_counter()
+    code, out, err = run(
+        capsys, "sectionring", "--q", "65521", "--preset", "Gamma0T_2",
+        "--max-weight", str(SECTIONRING_WEIGHT_MAX),
+    )
+    assert code == 3
+    assert out == ""
+    assert "presentation work budget exceeded" in err
+    assert time.perf_counter() - start < 20.0
+
+
+def test_witness_box_bound_is_checked_without_the_box_size(capsys):
+    # (5^4000001)^4 would be a nine-million-digit integer
+    start = time.perf_counter()
+    code, out, err = run(
+        capsys, "parity", "--q", "5", "--group", "full", "--deg-bound", "4000000"
+    )
+    assert code == 3
+    assert out == ""
+    assert "box too large" in err
+    assert time.perf_counter() - start < 1.0
+
+
+def test_sectionring_presets_need_no_witness_search_at_large_q(capsys):
+    code, out, _ = run(
+        capsys, "sectionring", "--q", "27", "--preset", "GL2A_2", "--max-weight", "20"
+    )
+    assert code == 0
+    assert out.splitlines()[0] == "divisor: 13/14(1) + -12/13(inf)"

@@ -409,31 +409,40 @@ def test_elliptic_point_classes_merge_by_quadratic():
 # ------------------------------------------------------- preset invariants
 
 
-@pytest.mark.parametrize("q", [3, 5, 7])
-def test_full_group_preset_invariants(q):
-    inv = assemble_invariants("GL2A_2", get_field(q))
+# The presets are published data; the searches check them.
+_PRESET_FIELDS = [(3, None), (5, None), (7, None), (9, (1, 0, 1)), (9, (2, 1, 1))]
+
+
+def _preset_field(q, modulus):
+    return get_field(q) if modulus is None else Fq(q, modulus=modulus)
+
+
+@pytest.mark.parametrize("q, modulus", _PRESET_FIELDS)
+def test_full_group_preset_invariants(q, modulus):
+    F = _preset_field(q, modulus)
+    inv = assemble_invariants("GL2A_2", F)
     assert inv.q == q
     assert inv.genus == 0
     assert inv.group == GroupSpec("full", None, 2)
-    assert inv.cusps.count == 1
     assert inv.cusp_stab_orders == ((q - 1) // 2,)
+    assert cusps(inv.group, F).count == len(inv.cusp_stab_orders)
     assert len(inv.elliptic_points) == 1
     ep = inv.elliptic_points[0]
     assert (ep.stab_order, ep.stab_order_sq) == (q + 1, (q + 1) // 2)
-    assert ep.witness is not None
-    assert inv.parity.kind == "NonSquare"
+    index = stabilizer_index(parity(GroupSpec("full", None), 0, F))
+    assert ep.stab_order // ep.stab_order_sq == index
 
 
-@pytest.mark.parametrize("q", [3, 5, 7])
-def test_gamma0_preset_invariants(q):
-    F = get_field(q)
+@pytest.mark.parametrize("q, modulus", _PRESET_FIELDS)
+def test_gamma0_preset_invariants(q, modulus):
+    F = _preset_field(q, modulus)
     inv = assemble_invariants("Gamma0T_2", F)
     assert inv.genus == 0
     assert inv.group == GroupSpec("gamma0", PolyA.T(F), 2)
-    assert inv.cusps.count == 2
     assert inv.cusp_stab_orders == ((q - 1) // 2, (q - 1) // 2)
+    assert cusps(inv.group, F).count == len(inv.cusp_stab_orders)
     assert inv.elliptic_points == ()
-    assert inv.parity.kind == "NonSquare"
+    assert parity(GroupSpec("gamma0", PolyA.T(F)), 0, F).kind == "NonSquare"
 
 
 @pytest.mark.parametrize("q", [3, 5, 7, 9])

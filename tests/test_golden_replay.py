@@ -3,9 +3,10 @@
 The benchmark's golden records (perfbench/golden/*.json) hold the exit code
 and stdout sha256 of every request it can send.  One test replays all of
 the ones over F_9, F_25 and F_27, where the element coding differs from the
-value.  Another replays the prime-field `sectionring` requests at q = 3,
-where the presentation engine's exact row reduction decides every generator
-and relation.
+value.  Another replays the prime-field `sectionring` requests, where the
+presentation engine's exact row reduction decides every generator and
+relation: all of them at q = 5 and 7, and at q = 3 all but the slow tail of
+Gamma0T_2 budget exits.
 """
 
 from __future__ import annotations
@@ -55,14 +56,19 @@ def _extension_field_requests():
     return out
 
 
-def _sectionring_q3_requests():
-    """Gamma0T_2 up to weight 34, its first budget exit in each format, all GL2A_2."""
+def _prime_field_sectionring_requests():
+    """All at q = 5 and 7; at q = 3 Gamma0T_2 up to weight 34, its first
+    budget exit in each format, and all GL2A_2."""
     out = []
     for key, argv, opts, expected in _records(("forms",)):
-        if argv[0] != "sectionring" or opts.get("--q") != "3":
+        if argv[0] != "sectionring" or opts.get("--q") not in ("3", "5", "7"):
             continue
         preset, weight = opts["--preset"], int(opts["--max-weight"])
-        if preset == "GL2A_2" or (preset == "Gamma0T_2" and (weight <= 34 or weight == 38)):
+        if (
+            opts["--q"] != "3"
+            or preset == "GL2A_2"
+            or (preset == "Gamma0T_2" and (weight <= 34 or weight == 38))
+        ):
             out.append((key, argv, opts, expected))
     return out
 
@@ -74,8 +80,8 @@ def test_extension_field_outputs_match_the_golden_record():
 
 
 def test_prime_field_sectionring_outputs_match_the_golden_record():
-    requests = _sectionring_q3_requests()
-    assert len(requests) == 50
+    requests = _prime_field_sectionring_requests()
+    assert len(requests) == 200
     exits = [r for r in requests if r[3]["code"] == 3]
     assert sorted(r[2]["--format"] for r in exits) == ["json", "table"]
     assert _mismatches(requests) == []

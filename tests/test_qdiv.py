@@ -9,7 +9,6 @@ from fractions import Fraction
 import pytest
 
 from drinfeld import (
-    CuspSet,
     QDivisor,
     QPoint,
     WorkBoundError,
@@ -202,9 +201,27 @@ def test_log_canonical_rejects_unsupported_shapes():
         log_canonical_divisor(
             dataclasses.replace(inv, elliptic_points=(ep, ep))
         )
-    crowded = CuspSet(reps=((0,), (1,), (2,)), sizes=(1, 1, 1), total=3)
     with pytest.raises(ValueError):
-        log_canonical_divisor(dataclasses.replace(inv, cusps=crowded))
+        log_canonical_divisor(dataclasses.replace(inv, cusp_stab_orders=(1, 1, 1)))
+
+
+_ODD_PRIME_POWERS_UP_TO_81 = (
+    3, 5, 7, 9, 11, 13, 17, 19, 23, 25, 27, 29, 31, 37, 41, 43, 47,
+    49, 53, 59, 61, 67, 71, 73, 79, 81,
+)
+
+
+@pytest.mark.parametrize("q", _ODD_PRIME_POWERS_UP_TO_81)
+def test_log_canonical_divisors_match_their_closed_forms(q):
+    F = get_field(q)
+    full = log_canonical_divisor(assemble_invariants("GL2A_2", F))
+    assert full == QDivisor(
+        {O: 1 - Fraction(2, q + 1), I: -1 + Fraction(2, q - 1)}
+    )
+    gamma0 = log_canonical_divisor(assemble_invariants("Gamma0T_2", F))
+    assert gamma0 == QDivisor(
+        {Z: 1 + Fraction(2, q - 1), I: -1 + Fraction(2, q - 1)}
+    )
 
 
 # -------------------------------------------------------- weighted h0
