@@ -59,9 +59,6 @@ class Mat2:
     def entries(self):
         return (self.a, self.b, self.c, self.d)
 
-    def trace(self):
-        return self.a + self.d
-
     def is_scalar(self):
         return self.b.is_zero() and self.c.is_zero() and self.a == self.d
 

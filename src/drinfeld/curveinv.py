@@ -125,7 +125,10 @@ def primitive_vectors(N):
         raise ValueError("level must be nonconstant")
     field = N.field
     if field.q ** (2 * N.degree) > ELLIPTIC_BOX_LIMIT:
-        raise WorkBoundError("residue space too large")
+        raise WorkBoundError(
+            "residue space too large: %d^%d pairs exceed ELLIPTIC_BOX_LIMIT = %d"
+            % (field.q, 2 * N.degree, ELLIPTIC_BOX_LIMIT)
+        )
     res = _residues(N)
     one = PolyA.one(field)
     out = []
@@ -191,7 +194,10 @@ def cusps(G, field=None):
     field = G.field_for(field)
     N = G.level if G.level is not None else PolyA.T(field)
     if N.degree > CUSP_LEVEL_DEG_LIMIT:
-        raise WorkBoundError("cusp computation limited to levels of degree <= 2")
+        raise WorkBoundError(
+            "cusp computation limited to levels of degree <= CUSP_LEVEL_DEG_LIMIT"
+            " = %d: the level has degree %d" % (CUSP_LEVEL_DEG_LIMIT, N.degree)
+        )
     prim = primitive_vectors(N)
     gens = _mod_n_generators(G, N)
     seen = set()
@@ -254,7 +260,10 @@ def elliptic_search(G, deg_bound, field=None):
     # box size q^exponent; as q > 2, an exponent of the limit's bit length exceeds it
     exponent = (deg_bound + 1) * {"full": 4, "gamma1": 4, "gamma0": 5}[G.family]
     if exponent >= ELLIPTIC_BOX_LIMIT.bit_length() or field.q**exponent > ELLIPTIC_BOX_LIMIT:
-        raise WorkBoundError("elliptic search box too large")
+        raise WorkBoundError(
+            "elliptic search box too large: %d^%d candidates exceed"
+            " ELLIPTIC_BOX_LIMIT = %d" % (field.q, exponent, ELLIPTIC_BOX_LIMIT)
+        )
     polys = _polys_up_to(field, deg_bound)
     N = G.level
     if G.family == "full":

@@ -10,7 +10,10 @@ degree POLY_DEG_MAX before any coefficient list is built.
 Elements of A are tuples of codes (lowest degree first, no trailing zeros),
 elements of K are kept in lowest terms with monic denominator, and elements
 of K_inf carry a finite window of Laurent coefficients in the uniformizer
-1/T.  `FqElem` wraps one code for the public interface.
+1/T; series support only products and square roots.  `FqElem` wraps one
+code for the public interface.  Squareness is decided in F_q (parity of the
+discrete log), in A (`poly_sqrt`) and in K_inf (valuation and leading
+coefficient), the last without expanding an element of K.
 
 Valuation convention: v(T) = -1, so v(a) = -deg(a) for nonzero a in A and
 |f| = q^(-v(f)).  The zero series is a distinguished value whose valuation
@@ -455,22 +458,6 @@ class PolyA:
 
     __rmul__ = __mul__
 
-    def __pow__(self, n):
-        out = PolyA.one(self.field)
-        base = self
-        while n:
-            if n & 1:
-                out = out * base
-            base = base * base
-            n >>= 1
-        return out
-
-    def shift(self, k):
-        """Multiply by T^k."""
-        if self.is_zero():
-            return self
-        return _poly(self.field, [0] * k + list(self.coeffs))
-
     def __divmod__(self, other):
         o = self._coerce(other)
         if o is NotImplemented:
@@ -551,8 +538,6 @@ class RatK:
             c = den.leading_coeff().inverse()
             num = num * c
             den = den * c
-        if num.is_zero():
-            den = PolyA.one(num.field)
         self.num = num
         self.den = den
 
@@ -627,18 +612,6 @@ class RatK:
     def __rtruediv__(self, other):
         return self._coerce(other) / self
 
-    def __pow__(self, n):
-        if n < 0:
-            return (RatK(self.den, self.num)) ** (-n)
-        out = RatK(PolyA.one(self.field))
-        base = self
-        while n:
-            if n & 1:
-                out = out * base
-            base = base * base
-            n >>= 1
-        return out
-
     def __eq__(self, other):
         if isinstance(other, (PolyA, FqElem, int)):
             other = self._coerce(other)
@@ -662,9 +635,9 @@ class LaurentKInf:
 
     `val` is the valuation of the leading term and `coeffs[i]` is the
     coefficient of (1/T)^(val + i); coeffs[0] is nonzero.  The zero series
-    is represented with an empty window and valuation +infinity.  Operations
-    never extend the known window: a product or sum knows only as many
-    coefficients as its inputs justify.
+    is represented with an empty window and valuation +infinity.  A product
+    never extends the known window: it knows only as many coefficients as
+    its inputs justify.
     """
 
     __slots__ = ("field", "val", "coeffs")
@@ -701,37 +674,10 @@ class LaurentKInf:
             raise ValueError("zero series has no leading coefficient")
         return self.coeffs[0]
 
-    def _at(self, pos):
-        if self.is_zero() or pos < self.val or pos >= self.val + len(self.coeffs):
-            return self.field.zero
-        return self.coeffs[pos - self.val]
-
     def truncate(self, n):
         if self.is_zero():
             return self
         return LaurentKInf(self.field, self.val, self.coeffs[:n])
-
-    def __add__(self, other):
-        if not isinstance(other, LaurentKInf):
-            return NotImplemented
-        if self.is_zero():
-            return other
-        if other.is_zero():
-            return self
-        start = min(self.val, other.val)
-        end = min(self.val + len(self.coeffs), other.val + len(other.coeffs))
-        if end <= start:
-            raise PrecisionError("known windows do not overlap")
-        window = [self._at(p) + other._at(p) for p in range(start, end)]
-        return LaurentKInf(self.field, start, window)
-
-    def __neg__(self):
-        return LaurentKInf(self.field, self.val, [-c for c in self.coeffs])
-
-    def __sub__(self, other):
-        if not isinstance(other, LaurentKInf):
-            return NotImplemented
-        return self + (-other)
 
     def __mul__(self, other):
         if isinstance(other, FqElem):
@@ -1004,12 +950,16 @@ def quad_irreducible_kinf(b, c, prec=DEFAULT_PREC):
     """Whether z^2 + b*z + c (b, c in K) has no root in K_inf.
 
     Decided by the discriminant: the quadratic is irreducible over K_inf
-    iff b^2 - 4c is not a square there (characteristic is odd).
+    iff b^2 - 4c is not a square there (characteristic is odd), that is,
+    iff its valuation is odd or lc(num) = lc(num)/lc(den) is a non-square.
+    No series is expanded; `prec` < 2 raises, as in `is_square_kinf`.
     """
     disc = b * b - RatK.from_value(b.field, 4) * c
     if disc.is_zero():
         return False
-    return not is_square_kinf(laurent_expand(disc, prec))
+    if prec < 2:
+        raise PrecisionError("need at least 2 coefficients")
+    return disc.valuation() % 2 != 0 or not is_square_fq(disc.num.leading_coeff())
 
 
 def poly_sqrt(poly):
@@ -1037,13 +987,6 @@ def poly_sqrt(poly):
     if cand * cand == poly:
         return cand
     return None
-
-
-def is_square_k(x):
-    """Squareness of x in K, decided exactly (num*den a polynomial square)."""
-    if x.is_zero():
-        return True
-    return poly_sqrt(x.num * x.den) is not None
 
 
 def poly_ext_gcd(a, b):

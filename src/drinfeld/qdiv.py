@@ -138,12 +138,6 @@ class SectionBasis:
     exps: tuple
 
     @property
-    def div(self):
-        return QDivisor(
-            {QPoint.ZERO: self.a, QPoint.ONE: self.b, QPoint.INFINITY: self.c}
-        )
-
-    @property
     def size(self):
         return len(self.exps)
 
@@ -388,7 +382,9 @@ def presentation(D, max_weight):
         budget += (len(monos) + dim_h0) * max(1, dim_h0)
         if budget > PRESENTATION_WORK_BUDGET:
             raise WorkBoundError(
-                "presentation work budget exceeded at weight %d" % (2 * d)
+                "presentation work budget exceeded at weight %d: spent %d of"
+                " PRESENTATION_WORK_BUDGET = %d"
+                % (2 * d, budget, PRESENTATION_WORK_BUDGET)
             )
         if dim_h0 == 0:
             if monos:

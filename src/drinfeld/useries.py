@@ -201,6 +201,8 @@ def split(f, k, q):
     decomposition; raises SupportError at the first exponent violating
     2n = k (mod q-1) rather than dropping it.
     """
+    if k < 0:
+        raise ValueError("weight k must be nonnegative, got %d" % k)
     if k % 2 != 0:
         raise ValueError("weight must be even")
     if q != f.field.q:

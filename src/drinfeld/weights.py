@@ -45,6 +45,12 @@ class VanishingProfile:
 
     def __post_init__(self):
         object.__setattr__(self, "v_other", tuple(self.v_other))
+        for name in ("k", "v_inf", "v_e"):
+            value = getattr(self, name)
+            if value < 0:
+                raise ValueError("%s must be nonnegative, got %d" % (name, value))
+        if min(self.v_other, default=0) < 0:
+            raise ValueError("v_other must be nonnegative, got %s" % (self.v_other,))
 
 
 def type_solutions(k, q):

@@ -1,9 +1,9 @@
 """Shared fixtures: a fixed seed, a field cache, and fast matrix samplers.
 
-Matrix sampling works on integer coefficient lists (prime fields only) so
-the unit-determinant rejection loop avoids object construction until a
-candidate passes; entries have degree <= deg, and a multiple-of-T lower
-left corner or a determinant predicate can be requested.
+Matrix sampling works on lists of field codes with the field's table
+kernels, so the unit-determinant rejection loop avoids object construction
+until a candidate passes; entries have degree <= deg, and a multiple-of-T
+lower left corner or a determinant predicate can be requested.
 """
 
 from __future__ import annotations
@@ -12,7 +12,7 @@ import random
 
 import pytest
 
-from drinfeld import Fq, Mat2, PolyA
+from drinfeld import Fq, FqElem, Mat2, PolyA
 
 SEED = 20250814
 
@@ -35,12 +35,13 @@ def field_cache():
     return get_field
 
 
-def _int_mul(f, g, p):
+def _code_mul(f, g, field):
+    add, mul = field.add, field.mul
     out = [0] * (len(f) + len(g) - 1)
     for i, x in enumerate(f):
         if x:
             for j, y in enumerate(g):
-                out[i + j] = (out[i + j] + x * y) % p
+                out[i + j] = add(out[i + j], mul(x, y))
     return out
 
 
@@ -52,35 +53,28 @@ def sample_unit_matrices(rng, field, count, deg=2, det_pred=None, c_times_t=Fals
     """Random members of GL_2(A) with entries of degree <= deg.
 
     Rejection sampling on the determinant being a nonzero constant, with an
-    optional predicate on its value and an optional constraint that the
-    lower-left entry be a multiple of T.  Prime fields only.
+    optional predicate on its code (the value itself for prime q) and an
+    optional constraint that the lower-left entry be a multiple of T.
     """
-    assert field.e == 1, "integer sampler needs a prime field"
-    p = field.q
+    q = field.q
     out = []
     while len(out) < count:
-        a = [rng.randrange(p) for _ in range(deg + 1)]
-        b = [rng.randrange(p) for _ in range(deg + 1)]
-        d = [rng.randrange(p) for _ in range(deg + 1)]
+        a = [rng.randrange(q) for _ in range(deg + 1)]
+        b = [rng.randrange(q) for _ in range(deg + 1)]
+        d = [rng.randrange(q) for _ in range(deg + 1)]
         if c_times_t:
-            c = [0] + [rng.randrange(p) for _ in range(deg)]
+            c = [0] + [rng.randrange(q) for _ in range(deg)]
         else:
-            c = [rng.randrange(p) for _ in range(deg + 1)]
-        det = _int_mul(a, d, p)
-        for k, v in enumerate(_int_mul(b, c, p)):
-            det[k] = (det[k] - v) % p
+            c = [rng.randrange(q) for _ in range(deg + 1)]
+        if field.mul(a[-1], d[-1]) != field.mul(b[-1], c[-1]):
+            continue  # ad - bc has a nonzero T^(2 deg) coefficient
+        det = list(map(field.sub, _code_mul(a, d, field), _code_mul(b, c, field)))
         if det[0] == 0 or any(det[1:]):
             continue
         if det_pred is not None and not det_pred(det[0]):
             continue
-        out.append(
-            Mat2(
-                PolyA.from_ints(field, a),
-                PolyA.from_ints(field, b),
-                PolyA.from_ints(field, c),
-                PolyA.from_ints(field, d),
-            )
-        )
+        entries = [PolyA(field, [FqElem(field, x) for x in e]) for e in (a, b, c, d)]
+        out.append(Mat2(*entries))
     return out
 
 

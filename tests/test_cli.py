@@ -243,6 +243,13 @@ def test_split_exponent_is_bounded_before_the_series_is_built(capsys):
     assert code == 0
 
 
+def test_split_rejects_a_negative_weight(capsys):
+    code, out, err = run(capsys, "split", "--q", "5", "--k", "-4", "u^2")
+    assert code == 2
+    assert out == ""
+    assert "weight k must be nonnegative" in err
+
+
 def test_split_support_violation_exits_4(capsys):
     code, _, err = run(capsys, "split", "--q", "5", "--k", "4", "u")
     assert code == 4
@@ -273,6 +280,16 @@ def test_cusps_json_payload(capsys):
         {"u": "1", "v": "0", "orbit_size": 4},
     ]
     assert payload["total_primitive_vectors"] == 24
+
+
+def test_cusps_work_bounds_name_the_size_and_the_limit(capsys):
+    code, out, err = run(capsys, "cusps", "--q", "27", "--group", "gamma0:T^2")
+    assert (code, out) == (3, "")
+    assert "residue space too large: 27^4 pairs exceed" in err
+    assert "ELLIPTIC_BOX_LIMIT = 500000" in err
+    code, out, err = run(capsys, "cusps", "--q", "3", "--group", "gamma0:T^3")
+    assert (code, out) == (3, "")
+    assert "CUSP_LEVEL_DEG_LIMIT = 2: the level has degree 3" in err
 
 
 def test_cusps_accepts_an_extension_field_modulus(capsys):
@@ -306,6 +323,23 @@ def test_valence_rejects_malformed_orders(capsys):
     )
     assert code == 2
     assert err.startswith("error:")
+
+
+@pytest.mark.parametrize(
+    "argv, field",
+    [
+        (("--k", "0", "--v-inf", "-2", "--v-e", "3"), "v_inf"),
+        (("--k", "4", "--v-e", "-1"), "v_e"),
+        (("--k", "-24", "--v-other=-1"), "k"),
+        (("--k", "24", "--v-other=1,-1"), "v_other"),
+    ],
+)
+def test_valence_rejects_negative_orders(capsys, argv, field):
+    code, out, err = run(capsys, "valence", "--q", "5", *argv)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: %s " % field)
+    assert "must be nonnegative" in err
 
 
 # -------------------------------------------------------------- ellsearch
@@ -422,6 +456,7 @@ def test_sectionring_at_the_weight_limit_exits_3_promptly(capsys):
     assert code == 3
     assert out == ""
     assert "presentation work budget exceeded" in err
+    assert "weight 50002: spent 50001 of PRESENTATION_WORK_BUDGET = 50000" in err
     assert time.perf_counter() - start < 20.0
 
 
@@ -434,6 +469,7 @@ def test_witness_box_bound_is_checked_without_the_box_size(capsys):
     assert code == 3
     assert out == ""
     assert "box too large" in err
+    assert "5^16000004 candidates exceed ELLIPTIC_BOX_LIMIT = 500000" in err
     assert time.perf_counter() - start < 1.0
 
 

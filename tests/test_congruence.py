@@ -5,8 +5,12 @@ from __future__ import annotations
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from drinfeld import (
+    Fq,
+    FqElem,
     GroupSpec,
     Mat2,
     ParseError,
@@ -184,20 +188,53 @@ def test_parse_group_errors():
             parse_group(bad, F7)
 
 
+@pytest.mark.parametrize(
+    "F",
+    [Fq(3), Fq(7), Fq(9), Fq(9, modulus=(2, 1, 1)), Fq(25), Fq(27)],
+    ids=["3", "7", "9", "9-mod211", "25", "27"],
+)
+def test_parse_group_inverts_str(F):
+    indices = st.sampled_from([m for m in range(1, F.q) if (F.q - 1) % m == 0])
+    codes = st.lists(st.integers(0, F.q - 1), min_size=2, max_size=4)
+    levels = codes.map(lambda cs: PolyA(F, [FqElem(F, c) for c in cs]))
+    families = st.sampled_from(["gammaN", "gamma1", "gamma0"])
+    specs = st.one_of(
+        st.builds(GroupSpec, st.just("full"), st.none(), indices),
+        st.builds(GroupSpec, families, levels.filter(lambda f: f.degree >= 1), indices),
+    )
+
+    @settings(derandomize=True, max_examples=150, deadline=None)
+    @given(specs)
+    def check(G):
+        parsed = parse_group(str(G), F)
+        assert str(parsed) == str(G)
+        assert parsed == G
+
+    check()
+
+
 # --- sampled group laws ------------------------------------------------------
 
 
+# q = 9 draws degree-1 entries: at degree 2 a unit determinant is too rare
+_SAMPLED_FIELDS = pytest.mark.parametrize(
+    "q, modulus, deg", [(5, None, 2), (9, (1, 0, 1), 1), (9, (2, 1, 1), 1)]
+)
+
+
+@_SAMPLED_FIELDS
 @pytest.mark.parametrize("family", ["full", "gamma0"])
-def test_square_determinant_subgroup_is_normal(family):
+def test_square_determinant_subgroup_is_normal(family, q, modulus, deg):
     rng = random.Random(SEED)
-    F5 = get_field(5)
+    F = get_field(q) if modulus is None else Fq(q, modulus=modulus)
     c_times_t = family == "gamma0"
-    level = PolyA.T(F5) if c_times_t else None
+    level = PolyA.T(F) if c_times_t else None
     G = GroupSpec(family, level)
     G2 = gamma2_of(G)
-    gammas = sample_unit_matrices(rng, F5, 200, deg=2, c_times_t=c_times_t)
+    gammas = sample_unit_matrices(rng, F, 200, deg=deg, c_times_t=c_times_t)
     deltas = sample_unit_matrices(
-        rng, F5, 200, deg=2, det_pred=lambda x: is_square_mod(x, 5), c_times_t=c_times_t
+        rng, F, 200, deg=deg, c_times_t=c_times_t,
+        det_pred=lambda x: is_square_fq(FqElem(F, x)),
     )
     for g, d in zip(gammas, deltas):
         assert member(g, G)
@@ -205,14 +242,15 @@ def test_square_determinant_subgroup_is_normal(family):
         assert member(g * d * g.inverse(), G2)
 
 
+@_SAMPLED_FIELDS
 @pytest.mark.parametrize("family", ["full", "gamma0"])
-def test_membership_closed_under_product_and_inverse(family):
+def test_membership_closed_under_product_and_inverse(family, q, modulus, deg):
     rng = random.Random(SEED + 1)
-    F5 = get_field(5)
+    F = get_field(q) if modulus is None else Fq(q, modulus=modulus)
     c_times_t = family == "gamma0"
-    level = PolyA.T(F5) if c_times_t else None
+    level = PolyA.T(F) if c_times_t else None
     G = GroupSpec(family, level)
-    ms = sample_unit_matrices(rng, F5, 100, deg=2, c_times_t=c_times_t)
+    ms = sample_unit_matrices(rng, F, 100, deg=deg, c_times_t=c_times_t)
     for g, h in zip(ms[::2], ms[1::2]):
         assert member(g * h, G)
         assert member(g.inverse(), G)

@@ -3,7 +3,8 @@
 Fields: F_3, F_9, F_25, F_27 with their default moduli, and F_9 under the
 modulus x^2 + x + 2.  Field operations are checked against schoolbook
 arithmetic on coordinate vectors, which does not use the exp/log or Zech
-tables.
+tables.  The closed-form K_inf irreducibility test is checked against the
+Laurent expansion it replaced, on F_5 and F_7 as well.
 """
 
 from __future__ import annotations
@@ -15,10 +16,15 @@ from hypothesis import strategies as st
 from drinfeld import (
     Fq,
     PolyA,
+    PrecisionError,
+    RatK,
     format_poly,
     is_square_fq,
+    is_square_kinf,
+    laurent_expand,
     parse_poly,
     poly_ext_gcd,
+    quad_irreducible_kinf,
     sqrt_fq,
 )
 
@@ -36,6 +42,14 @@ def elements(F):
 
 def polys(F, max_len=6):
     return st.lists(elements(F), max_size=max_len).map(lambda cs: PolyA(F, cs))
+
+
+def nonzero_polys(F, max_len=6):
+    return polys(F, max_len).filter(lambda f: not f.is_zero())
+
+
+def ratks(F, max_len=5):
+    return st.builds(RatK, polys(F, max_len), nonzero_polys(F, max_len))
 
 
 def coord_add(F, x, y):
@@ -154,3 +168,55 @@ def test_sort_key_orders_coordinates_low_digit_first():
     assert [format_poly(f) for f in linear] == [
         "T", "a*T", "T+a^6", "a*T+a^2", "T+1", "a^4*T+1",
     ]
+
+
+@by_field
+def test_ratk_canonical_form(F):
+    one = PolyA.one(F)
+
+    @SEEDED
+    @given(polys(F, 5), nonzero_polys(F, 5), nonzero_polys(F, 4))
+    def check(n, d, c):
+        x = RatK(n, d)
+        assert x.den.is_monic()
+        assert x.num.gcd(x.den) == one
+        assert x.num * d == n * x.den
+        if n.is_zero():
+            assert x.den == one
+        assert RatK(n * c, d * c) == x
+
+    check()
+
+
+def _expanded_quad_irreducible(b, c, prec):
+    """The expansion path the closed form replaced, kept as its reference."""
+    disc = b * b - RatK.from_value(b.field, 4) * c
+    if disc.is_zero():
+        return False
+    return not is_square_kinf(laurent_expand(disc, prec))
+
+
+QUAD_FIELDS = [Fq(3), Fq(5), Fq(7), FIELDS[1], FIELDS[4], FIELDS[2], FIELDS[3]]
+
+
+@pytest.mark.parametrize(
+    "F", QUAD_FIELDS, ids=["3", "5", "7", "9", "9-mod211", "25", "27"]
+)
+def test_quad_irreducible_matches_the_expansion(F):
+    four = RatK.from_value(F, 4)
+
+    @settings(derandomize=True, max_examples=400, deadline=None)
+    @given(ratks(F), ratks(F), st.booleans(), st.integers(0, 40))
+    def check(b, c, double_root, prec):
+        if double_root:
+            c = b * b / four
+        if prec < 2 and not (b * b - four * c).is_zero():
+            with pytest.raises(PrecisionError):
+                quad_irreducible_kinf(b, c, prec)
+            with pytest.raises(PrecisionError):
+                _expanded_quad_irreducible(b, c, prec)
+            return
+        expected = _expanded_quad_irreducible(b, c, prec)
+        assert quad_irreducible_kinf(b, c, prec) == expected
+
+    check()

@@ -330,7 +330,8 @@ def test_presentation_validates_truncation_weight():
 def test_presentation_enforces_work_budget():
     inv = assemble_invariants("Gamma0T_2", get_field(3))
     D = log_canonical_divisor(inv)
-    with pytest.raises(WorkBoundError):
+    spent = "weight 38: spent 56079 of PRESENTATION_WORK_BUDGET = 50000"
+    with pytest.raises(WorkBoundError, match=spent):
         presentation(D, max_weight=400)
 
 

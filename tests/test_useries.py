@@ -3,8 +3,12 @@
 from __future__ import annotations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from drinfeld import (
+    Fq,
+    FqElem,
     GroupSpec,
     ParseError,
     PolyA,
@@ -262,3 +266,23 @@ def test_series_repr_formats(F5):
     assert repr(parse_useries("(T+1)*u", F5)) == "(T+1)*u"
     assert repr(USeries.zero(F5)) == "0"
     assert repr(parse_useries("u-2", F5)) == "3 + u"
+
+
+@pytest.mark.parametrize(
+    "F", [Fq(3), Fq(7), Fq(9), Fq(9, modulus=(2, 1, 1)), Fq(27)],
+    ids=["3", "7", "9", "9-mod211", "27"],
+)
+def test_parse_useries_inverts_repr(F):
+    coeffs = st.lists(st.integers(0, F.q - 1), max_size=4).map(
+        lambda cs: RatK(PolyA(F, [FqElem(F, c) for c in cs]))
+    )
+
+    @settings(derandomize=True, max_examples=150, deadline=None)
+    @given(st.dictionaries(st.integers(0, 80), coeffs, max_size=6))
+    def check(terms):
+        f = USeries.from_terms(F, terms)
+        g = parse_useries(repr(f), F)
+        assert g.support() == f.support()
+        assert all(g.coeff(n) == f.coeff(n) for n in f.support())
+
+    check()

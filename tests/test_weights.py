@@ -127,6 +127,21 @@ def test_valence_uses_exact_rationals():
     assert valence_check(VanishingProfile(k=28, v_other=(1,), v_inf=1), 5) is False
 
 
+@pytest.mark.parametrize(
+    "field, kwargs",
+    [
+        ("k", {"k": -24}),
+        ("v_inf", {"k": 0, "v_inf": -2, "v_e": 3}),
+        ("v_e", {"k": 4, "v_e": -1}),
+        ("v_other", {"k": 24, "v_other": (2, -1)}),
+    ],
+)
+def test_vanishing_orders_are_nonnegative(field, kwargs):
+    # a pole is not a vanishing order: (0, -2, 3) would satisfy the formula
+    with pytest.raises(ValueError, match=field):
+        VanishingProfile(**kwargs)
+
+
 def test_graded_multiplication_of_weight_types():
     q = 5
     g = WeightType(q - 1, 0, q)
