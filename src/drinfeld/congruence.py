@@ -59,9 +59,6 @@ class Mat2:
     def entries(self):
         return (self.a, self.b, self.c, self.d)
 
-    def is_scalar(self):
-        return self.b.is_zero() and self.c.is_zero() and self.a == self.d
-
     def __mul__(self, other):
         if not isinstance(other, Mat2):
             return NotImplemented
@@ -190,22 +187,6 @@ def det_image_order(G, field):
     if G.family == "gammaN":
         return 1
     return (field.q - 1) // G.det_index
-
-
-def index_gamma2(G, field):
-    """The index of the square-determinant subgroup: always 2.
-
-    Requires a group containing the diagonal matrices with no determinant
-    restriction already in place; identity-congruence groups have no
-    nontrivial diagonals and are rejected.
-    """
-    if G.family == "gammaN":
-        raise ValueError("group has no nontrivial diagonal matrices")
-    if G.det_index != DET_ALL:
-        raise ValueError("group already carries a determinant restriction")
-    if field.q % 2 == 0:
-        raise ValueError("q must be odd")
-    return 2
 
 
 def gamma2_of(G):

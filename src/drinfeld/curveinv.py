@@ -26,7 +26,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 
-from .congruence import GroupSpec, Mat2, member
+from .congruence import GroupSpec, Mat2
 from .ffarith import (
     FqElem,
     PolyA,
@@ -244,10 +244,12 @@ def elliptic_search(G, deg_bound, field=None):
     every polynomial of degree <= deg_bound + 1.  The box is walked over
     (a, c, d) with c nonzero, and b is solved from the determinant: for
     each allowed determinant delta, b = (ad - delta)/c is kept when the
-    division is exact and deg b <= deg_bound.  A member is kept as a
-    witness when its fixed-point discriminant ((a+d)^2 - 4*delta)/c^2 is
-    nonzero and not a square in K, that is, when (a+d)^2 - 4*delta is not
-    a square in A.  Output is sorted lexicographically on matrix entries.
+    division is exact and deg b <= deg_bound.  The box lies in G by
+    construction (N divides c, a = 1 mod N for gamma1, and the determinant
+    is an allowed delta), so no membership test is run.  A candidate is kept
+    as a witness when its fixed-point discriminant ((a+d)^2 - 4*delta)/c^2
+    is nonzero and not a square in K, that is, when (a+d)^2 - 4*delta is
+    not a square in A.  Output is sorted lexicographically on matrix entries.
     """
     if deg_bound < 0:
         raise ValueError("deg_bound must be non-negative, got %d" % deg_bound)
@@ -283,12 +285,10 @@ def elliptic_search(G, deg_bound, field=None):
             b, r = divmod(ad - delta, c)
             if r or b.degree > deg_bound:
                 continue
-            gamma = Mat2(a, b, c, d)
-            if not member(gamma, G):
-                continue
             disc = tr * tr - delta * 4
             if disc.is_zero() or poly_sqrt(disc) is not None:
                 continue
+            gamma = Mat2(a, b, c, d)
             witnesses.append(
                 EllipticWitness(
                     gamma=gamma,
@@ -311,28 +311,6 @@ def parity(G, deg_bound, field=None):
         if not w.det_is_square:
             return Parity("NonSquare", deg_bound, w)
     return Parity("Square", deg_bound)
-
-
-def stabilizer_index(p):
-    """[G_e : (G_2)_e]: 1 for square groups, 2 for non-square ones."""
-    if p.kind == "Square":
-        return 1
-    if p.kind == "NonSquare":
-        return 2
-    raise ValueError("parity undecided at bound %d" % p.bound)
-
-
-def elliptic_point_classes(witnesses):
-    """Witnesses merged by fixed-point quadratic (the elliptic points)."""
-    classes = {}
-    order = []
-    for w in witnesses:
-        key = (w.quad_b, w.quad_c)
-        if key not in classes:
-            classes[key] = []
-            order.append(key)
-        classes[key].append(w)
-    return [(key[0], key[1], tuple(classes[key])) for key in order]
 
 
 def assemble_invariants(preset, field):

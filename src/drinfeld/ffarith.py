@@ -16,14 +16,13 @@ discrete log), in A (`poly_sqrt`) and in K_inf (valuation and leading
 coefficient), the last without expanding an element of K.
 
 Valuation convention: v(T) = -1, so v(a) = -deg(a) for nonzero a in A and
-|f| = q^(-v(f)).  The zero series is a distinguished value whose valuation
-reads as +infinity.
+|f| = q^(-v(f)).  The zero series is a distinguished value with an empty
+window and no valuation.
 """
 
 from __future__ import annotations
 
 import itertools
-import math
 import operator
 
 DEFAULT_PREC = 32
@@ -182,12 +181,6 @@ class Fq:
     def nonzero_elements(self):
         return (FqElem(self, x) for x in range(1, self.q))
 
-    def dlog(self, x):
-        """Discrete log of nonzero x with respect to the stored generator."""
-        if x.is_zero():
-            raise ValueError("dlog of zero")
-        return self.log[x.code]
-
     def format_elem(self, x):
         return self.format_code(x.code)
 
@@ -253,9 +246,6 @@ class FqElem:
 
     def is_zero(self):
         return not self.code
-
-    def is_one(self):
-        return self.code == 1
 
     def __bool__(self):
         return bool(self.code)
@@ -635,7 +625,7 @@ class LaurentKInf:
 
     `val` is the valuation of the leading term and `coeffs[i]` is the
     coefficient of (1/T)^(val + i); coeffs[0] is nonzero.  The zero series
-    is represented with an empty window and valuation +infinity.  A product
+    is represented with an empty window and val None.  A product
     never extends the known window: it knows only as many coefficients as
     its inputs justify.
     """
@@ -659,11 +649,6 @@ class LaurentKInf:
 
     def is_zero(self):
         return not self.coeffs
-
-    @property
-    def v(self):
-        """Valuation; +infinity for the zero series."""
-        return math.inf if self.is_zero() else self.val
 
     @property
     def prec(self):
@@ -932,7 +917,7 @@ def laurent_expand(x, prec=DEFAULT_PREC):
     return LaurentKInf(field, dd - dn, out)
 
 
-def is_square_kinf(f, require_prec=2):
+def is_square_kinf(f):
     """Squareness of a nonzero truncated series in K_inf = F_q((1/T)).
 
     True iff the valuation is even and the leading coefficient is a square
@@ -941,8 +926,8 @@ def is_square_kinf(f, require_prec=2):
     """
     if f.is_zero():
         raise ValueError("squareness of the zero series is not defined")
-    if f.prec < require_prec:
-        raise PrecisionError("need at least %d coefficients" % require_prec)
+    if f.prec < 2:
+        raise PrecisionError("need at least 2 coefficients")
     return f.val % 2 == 0 and is_square_fq(f.leading_coeff())
 
 

@@ -71,9 +71,6 @@ class QDivisor:
     def degree(self):
         return sum(self._coeffs.values(), Fraction(0))
 
-    def is_integral(self):
-        return all(v.denominator == 1 for v in self._coeffs.values())
-
     def __add__(self, other):
         if not isinstance(other, QDivisor):
             return NotImplemented
@@ -159,24 +156,6 @@ def rr_basis(D):
     deg = a + b + c
     exps = tuple(range(deg + 1)) if deg >= 0 else ()
     return SectionBasis(a=a, b=b, c=c, exps=exps)
-
-
-def best_lower_approximations(alpha):
-    """Fractions floor(b*alpha)/b, b = 1, 2, ..., keeping strict improvements.
-
-    a/b qualifies iff a/b <= alpha and a/b exceeds every lower approximation
-    with smaller denominator; the sequence ends at alpha itself (reached at
-    b = denominator of alpha).
-    """
-    alpha = Fraction(alpha)
-    if alpha < 0:
-        raise ValueError("alpha must be nonnegative")
-    out = []
-    for b in range(1, alpha.denominator + 1):
-        cand = Fraction(alpha.numerator * b // alpha.denominator, b)
-        if not out or cand > out[-1]:
-            out.append(cand)
-    return out
 
 
 def log_canonical_divisor(inv):

@@ -6,18 +6,15 @@ substitution u -> alpha^{-1} u, so a form of even weight k with constant
 scaling factor has all support in the two exponent classes solving
 2n = k (mod q-1); the splitting operator sorts coefficients into those two
 classes and assigns the matching types.  Everything here is formal: no
-named form's coefficients are computed, and the registry records metadata
-only (weight, type, group).
+named form's coefficients are computed.
 """
 
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 
-from .congruence import GroupSpec
 from .ffarith import ParseError, PolyA, RatK, format_poly, parse_poly
-from .weights import WeightType, decompose_gamma2, graded_mult_type
+from .weights import decompose_gamma2
 
 DEFAULT_USERIES_PREC = 64
 USERIES_EXP_MAX = 4096
@@ -62,10 +59,6 @@ class USeries:
         self.type_residue = type_residue
 
     @classmethod
-    def zero(cls, field, weight=0, type_residue=None, prec=DEFAULT_USERIES_PREC):
-        return cls(field, [], weight=weight, type_residue=type_residue, prec=prec)
-
-    @classmethod
     def from_terms(cls, field, terms, weight=0, type_residue=None, prec=None):
         """Build from a mapping exponent -> coefficient."""
         if prec is None:
@@ -92,44 +85,17 @@ class USeries:
     def is_zero(self):
         return all(c.is_zero() for c in self.coeffs)
 
-    def truncate(self, prec):
-        if not 1 <= prec <= self.prec:
-            raise ValueError("cannot extend precision")
-        return USeries(
-            self.field, self.coeffs[:prec], self.weight, self.type_residue
-        )
-
-    def _check_mate(self, other):
-        if not isinstance(other, USeries):
-            raise TypeError("expected a series")
-        if other.field is not self.field and other.field != self.field:
-            raise ValueError("series over different fields")
-
     def __add__(self, other):
         if not isinstance(other, USeries):
             return NotImplemented
-        self._check_mate(other)
+        if other.field is not self.field and other.field != self.field:
+            raise ValueError("series over different fields")
         if self.weight != other.weight:
             raise ValueError("cannot add series of different weights")
         prec = min(self.prec, other.prec)
         coeffs = [self.coeffs[i] + other.coeffs[i] for i in range(prec)]
         l = self.type_residue if self.type_residue == other.type_residue else None
         return USeries(self.field, coeffs, self.weight, l)
-
-    def __neg__(self):
-        return USeries(
-            self.field, [-c for c in self.coeffs], self.weight, self.type_residue
-        )
-
-    def __sub__(self, other):
-        if not isinstance(other, USeries):
-            return NotImplemented
-        return self + (-other)
-
-    def __mul__(self, other):
-        if not isinstance(other, USeries):
-            return NotImplemented
-        return mul(self, other)
 
     def __eq__(self, other):
         if not isinstance(other, USeries):
@@ -219,65 +185,6 @@ def split(f, k, q):
     f1 = USeries(f.field, c1, k, l1)
     f2 = USeries(f.field, c2, k, l2)
     return f1, f2
-
-
-def mul(f, g):
-    """Cauchy product to the shared precision; weights and types add."""
-    f._check_mate(g)
-    prec = min(f.prec, g.prec)
-    zero = RatK.from_value(f.field, 0)
-    coeffs = [zero] * prec
-    for i, a in enumerate(f.coeffs[:prec]):
-        if a.is_zero():
-            continue
-        for j in range(prec - i):
-            b = g.coeffs[j]
-            if not b.is_zero():
-                coeffs[i + j] = coeffs[i + j] + a * b
-    q = f.field.q
-    if f.type_residue is not None and g.type_residue is not None:
-        wt = graded_mult_type(
-            WeightType(f.weight, f.type_residue, q),
-            WeightType(g.weight, g.type_residue, q),
-        )
-        weight, l = wt.k, wt.l
-    else:
-        weight, l = f.weight + g.weight, None
-    return USeries(f.field, coeffs, weight, l)
-
-
-@dataclass(frozen=True)
-class FormRegistryEntry:
-    """Metadata for a named form: weight, optional type, home group."""
-
-    name: str
-    weight: int
-    type_residue: object
-    group: GroupSpec
-
-
-def form_registry(field):
-    """The named forms with their weights, types, and groups.
-
-    Type entries satisfy k = 2l (mod q-1); the two weight-(q-1) level-T
-    forms have undetermined type (either 0 or (q-1)/2 is consistent), left
-    as None.
-    """
-    q = field.q
-    full = GroupSpec("full", None)
-    gamma0_t = GroupSpec("gamma0", PolyA.T(field))
-    entries = [
-        FormRegistryEntry("g", q - 1, 0, full),
-        FormRegistryEntry("h", q + 1, 1, full),
-        FormRegistryEntry("Delta", q * q - 1, 0, full),
-        FormRegistryEntry("E_T", 2, 1, gamma0_t),
-        FormRegistryEntry("Delta_T", q - 1, None, gamma0_t),
-        FormRegistryEntry("Delta_W", q - 1, None, gamma0_t),
-    ]
-    for e in entries:
-        if e.type_residue is not None and (e.weight - 2 * e.type_residue) % (q - 1):
-            raise AssertionError("registry entry %s violates k = 2l" % e.name)
-    return {e.name: e for e in entries}
 
 
 def _strip_parens(text):

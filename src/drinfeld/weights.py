@@ -2,8 +2,8 @@
 
 A form has an integer weight k >= 0 and a type l, a residue mod (q-1);
 nonzero spaces satisfy k = 2l (mod q-1).  This module solves that
-congruence, decomposes graded pieces between a group and its
-determinant-restricted subgroups, evaluates the dimension formula for
+congruence, lifts the types of a square-determinant subgroup's forms to
+the two type pieces of the full group, evaluates the dimension formula for
 Gamma_0(T), and checks the valence formula in exact rational arithmetic.
 """
 
@@ -11,26 +11,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-
-
-@dataclass(frozen=True)
-class WeightType:
-    """A (weight, type) pair for a fixed q; the type is canonical mod q-1."""
-
-    k: int
-    l: int
-    q: int
-
-    def __post_init__(self):
-        if self.k < 0:
-            raise ValueError("weight must be nonnegative")
-        if self.q < 3 or self.q % 2 == 0:
-            raise ValueError("q must be an odd prime power")
-        object.__setattr__(self, "l", self.l % (self.q - 1))
-
-    def is_consistent(self):
-        """Whether k = 2l (mod q-1), the nonzero-space constraint."""
-        return (self.k - 2 * self.l) % (self.q - 1) == 0
 
 
 @dataclass(frozen=True)
@@ -87,21 +67,6 @@ def decompose_gamma2(k, l2, q):
     return (l1, l2_lift)
 
 
-def idempotent_decomposition(k, l, n, n_prime, q):
-    """Type residues [l + i*n' mod (q-1)] for i = 0 .. n/n' - 1.
-
-    n and n' are the determinant-image orders of the outer and inner
-    groups; the list indexes the idempotent pieces of the inner group's
-    weight-k space inside the outer group's graded algebra.
-    """
-    if k < 0:
-        raise ValueError("weight must be nonnegative")
-    m = q - 1
-    if n_prime < 1 or n < 1 or n % n_prime != 0 or m % n != 0:
-        raise ValueError("need n' | n | q-1")
-    return [(l + i * n_prime) % m for i in range(n // n_prime)]
-
-
 def dim_gamma0T(k, l, q):
     """dim of the weight-k type-l forms on Gamma_0(T).
 
@@ -128,10 +93,3 @@ def valence_check(prof, q):
         + Fraction(prof.v_inf, q - 1)
     )
     return lhs == Fraction(prof.k, q * q - 1)
-
-
-def graded_mult_type(wt1, wt2):
-    """Weight/type of a product of forms: weights add, types add mod q-1."""
-    if wt1.q != wt2.q:
-        raise ValueError("mismatched q")
-    return WeightType(wt1.k + wt2.k, wt1.l + wt2.l, wt1.q)

@@ -18,7 +18,6 @@ from drinfeld import (
     coset_rep_nonsquare,
     det_image_order,
     gamma2_of,
-    index_gamma2,
     is_square_fq,
     member,
     parse_group,
@@ -54,8 +53,6 @@ def test_matrix_inverse_and_product():
     assert g.det == F7.elem(3)
     assert g * g.inverse() == Mat2.identity(F7)
     assert (g.inverse() * g) == Mat2.identity(F7)
-    assert not g.is_scalar()
-    assert Mat2.diagonal(F7, F7.elem(2), F7.elem(2)).is_scalar()
 
 
 # --- membership -------------------------------------------------------------
@@ -112,18 +109,6 @@ def test_det_image_orders():
     assert det_image_order(GroupSpec("gammaN", t), F7) == 1
 
 
-def test_index_of_square_determinant_subgroup():
-    F7 = get_field(7)
-    t = PolyA.T(F7)
-    assert index_gamma2(GroupSpec("full", None), F7) == 2
-    assert index_gamma2(GroupSpec("gamma0", t), F7) == 2
-    assert index_gamma2(GroupSpec("gamma1", t), F7) == 2
-    with pytest.raises(ValueError):
-        index_gamma2(GroupSpec("gammaN", t), F7)
-    with pytest.raises(ValueError):
-        index_gamma2(GroupSpec("gamma0", t, det_index=2), F7)
-
-
 def test_gamma2_of_restricts_determinants():
     F5 = get_field(5)
     t = PolyA.T(F5)
@@ -153,8 +138,10 @@ def test_coset_representative():
 def test_quotient_orders():
     F7 = get_field(7)
     t = PolyA.T(F7)
+    for family, level in (("full", None), ("gamma0", t), ("gamma1", t)):
+        H = GroupSpec(family, level)
+        assert quotient_order(H, gamma2_of(H), F7) == 2
     G = GroupSpec("gamma0", t)
-    assert quotient_order(G, gamma2_of(G), F7) == 2
     assert quotient_order(G, G, F7) == 1
     assert quotient_order(G, GroupSpec("gamma0", t, det_index=6), F7) == 6
     with pytest.raises(ValueError):

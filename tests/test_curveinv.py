@@ -18,7 +18,6 @@ from drinfeld import (
     WorkBoundError,
     assemble_invariants,
     cusps,
-    elliptic_point_classes,
     elliptic_search,
     is_square_fq,
     is_square_kinf,
@@ -30,7 +29,6 @@ from drinfeld import (
     poly_ext_gcd,
     poly_sqrt,
     primitive_vectors,
-    stabilizer_index,
 )
 from conftest import get_field
 
@@ -230,11 +228,20 @@ def test_witness_count_for_gamma0_level_T_q3():
     assert len(ws) == 16
 
 
-@pytest.mark.parametrize("q", [3, 5])
-def test_witnesses_satisfy_their_defining_invariants(q):
-    F = get_field(q)
-    G = GroupSpec("gamma0", PolyA.T(F))
+@pytest.mark.parametrize(
+    "q, modulus", [(3, None), (5, None), (9, (1, 0, 1)), (9, (2, 1, 1))]
+)
+@pytest.mark.parametrize(
+    "descriptor",
+    ["full", "full!sq", "full!one", "gamma1:T", "gamma1:T+1!sq", "gamma0:T",
+     "gamma0:T+1!one"],
+)
+def test_witnesses_satisfy_their_defining_invariants(q, modulus, descriptor):
+    # the search runs no membership test: its box lies in G by construction
+    F = get_field(q) if modulus is None else Fq(q, modulus=modulus)
+    G = parse_group(descriptor, F)
     ws = elliptic_search(G, 0, F)
+    assert ws
     assert ws == sorted(ws, key=lambda w: w.gamma.sort_key())
     assert len({w.gamma.entries() for w in ws}) == len(ws)
     for w in ws:
@@ -340,7 +347,6 @@ def test_full_group_is_classified_non_square(q):
     assert p.kind == "NonSquare"
     assert p.bound == 0
     assert p.witness is not None and not p.witness.det_is_square
-    assert stabilizer_index(p) == 2
 
 
 @pytest.mark.parametrize("q", [3, 5, 7])
@@ -382,28 +388,6 @@ def test_parity_records_validate_their_shape():
         Parity("NonSquare", 0, square)
     undecided = Parity("NoWitnessFound", 3)
     assert undecided.bound == 3
-    with pytest.raises(ValueError):
-        stabilizer_index(undecided)
-    assert stabilizer_index(Parity("Square", 0)) == 1
-
-
-# ------------------------------------------------- elliptic point classes
-
-
-def test_elliptic_point_classes_merge_by_quadratic():
-    F = get_field(5)
-    ws = elliptic_search(GroupSpec("full", None), 0, F)
-    classes = elliptic_point_classes(ws)
-    assert sum(len(members) for _, _, members in classes) == len(ws)
-    keys = [(qb, qc) for qb, qc, _ in classes]
-    assert len(set(keys)) == len(keys)
-    for qb, qc, members in classes:
-        for w in members:
-            assert (w.quad_b, w.quad_c) == (qb, qc)
-    flattened = [w for _, _, members in classes for w in members]
-    assert sorted(w.gamma.sort_key() for w in flattened) == sorted(
-        w.gamma.sort_key() for w in ws
-    )
 
 
 # ------------------------------------------------------- preset invariants
@@ -429,7 +413,8 @@ def test_full_group_preset_invariants(q, modulus):
     assert len(inv.elliptic_points) == 1
     ep = inv.elliptic_points[0]
     assert (ep.stab_order, ep.stab_order_sq) == (q + 1, (q + 1) // 2)
-    index = stabilizer_index(parity(GroupSpec("full", None), 0, F))
+    # [G_e : (G_2)_e] is 1 for a square group and 2 for a non-square one
+    index = {"Square": 1, "NonSquare": 2}[parity(GroupSpec("full", None), 0, F).kind]
     assert ep.stab_order // ep.stab_order_sq == index
 
 

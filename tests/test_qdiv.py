@@ -13,7 +13,6 @@ from drinfeld import (
     QPoint,
     WorkBoundError,
     assemble_invariants,
-    best_lower_approximations,
     dim_gamma0T,
     floor_div,
     h0,
@@ -42,9 +41,9 @@ def test_divisor_arithmetic_and_accessors():
     assert (-D).coeff(I) == 2
     assert D.degree() == Fraction(-1, 2)
     assert D.support() == (Z, I)
-    assert not D.is_integral()
+    assert floor_div(D) != D
     assert (D + E).coeff(O) == 1
-    assert qdiv(z=2, o=-1).is_integral()
+    assert floor_div(qdiv(z=2, o=-1)) == qdiv(z=2, o=-1)
 
 
 def test_divisor_scalar_multiplication_on_both_sides():
@@ -77,7 +76,6 @@ def test_floor_is_componentwise_and_idempotent():
     F = floor_div(D)
     assert F == qdiv(z=1, o=-1)  # floor(1/2) = 0 leaves the support
     assert floor_div(F) == F
-    assert F.is_integral()
 
 
 # ------------------------------------------------------- h0 and rr_basis
@@ -139,40 +137,6 @@ def test_h0_is_monotone_under_effective_additions():
         for pt in (Z, O, I):
             bump = h0(D + QDivisor({pt: 1}))
             assert h0(D) <= bump <= h0(D) + 1
-
-
-# ------------------------------------------- best lower approximations
-
-
-def test_best_lower_approximations_known_sequences():
-    assert best_lower_approximations(Fraction(5, 3)) == [
-        Fraction(1),
-        Fraction(3, 2),
-        Fraction(5, 3),
-    ]
-    assert best_lower_approximations(7) == [Fraction(7)]
-    assert best_lower_approximations(Fraction(1, 2)) == [Fraction(0), Fraction(1, 2)]
-    with pytest.raises(ValueError):
-        best_lower_approximations(Fraction(-1, 3))
-
-
-def test_best_lower_approximations_are_denominatorwise_records():
-    rng = random.Random(SEED + 2)
-    for _ in range(200):
-        alpha = Fraction(rng.randint(0, 60), rng.randint(1, 24))
-        seq = best_lower_approximations(alpha)
-        # oracle: running maxima of floor(alpha*b)/b over b = 1..den(alpha)
-        records = []
-        best = None
-        for b in range(1, alpha.denominator + 1):
-            cand = Fraction((alpha.numerator * b) // alpha.denominator, b)
-            if best is None or cand > best:
-                best = cand
-                records.append(cand)
-        assert seq == records
-        assert seq[0] == Fraction(alpha.numerator // alpha.denominator)
-        assert seq[-1] == alpha
-        assert all(x < y for x, y in zip(seq, seq[1:]))
 
 
 # --------------------------------------------------- log-canonical divisors

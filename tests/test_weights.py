@@ -6,11 +6,8 @@ import pytest
 
 from drinfeld import (
     VanishingProfile,
-    WeightType,
     decompose_gamma2,
     dim_gamma0T,
-    graded_mult_type,
-    idempotent_decomposition,
     type_solutions,
     valence_check,
 )
@@ -57,26 +54,7 @@ def test_decompose_agrees_with_type_solutions(q):
         pair = decompose_gamma2(k, l2, q)
         assert set(pair) == type_solutions(k, q)
         assert pair[0] == (k // 2) % (q - 1)
-
-
-def test_idempotent_decomposition_values():
-    assert idempotent_decomposition(4, 1, 4, 2, 5) == [1, 3]
-    assert idempotent_decomposition(4, 1, 2, 2, 5) == [1]
-    assert idempotent_decomposition(6, 0, 6, 1, 7) == [0, 1, 2, 3, 4, 5]
-    with pytest.raises(ValueError):
-        idempotent_decomposition(4, 1, 4, 3, 5)  # 3 does not divide 4
-    with pytest.raises(ValueError):
-        idempotent_decomposition(4, 1, 8, 2, 5)  # 8 does not divide q-1
-
-
-@pytest.mark.parametrize("q", [5, 7, 9, 11])
-def test_idempotent_pair_reproduces_square_class_decomposition(q):
-    n, n_prime = q - 1, (q - 1) // 2
-    for k in range(0, 101, 2):
-        l2 = (k // 2) % ((q - 1) // 2)
-        pair = decompose_gamma2(k, l2, q)
-        idem = idempotent_decomposition(k, pair[0], n, n_prime, q)
-        assert set(idem) == set(pair)
+        assert pair[1] == (pair[0] + (q - 1) // 2) % (q - 1)
 
 
 def test_dimension_formula_values():
@@ -140,22 +118,3 @@ def test_vanishing_orders_are_nonnegative(field, kwargs):
     # a pole is not a vanishing order: (0, -2, 3) would satisfy the formula
     with pytest.raises(ValueError, match=field):
         VanishingProfile(**kwargs)
-
-
-def test_graded_multiplication_of_weight_types():
-    q = 5
-    g = WeightType(q - 1, 0, q)
-    h = WeightType(q + 1, 1, q)
-    gh = graded_mult_type(g, h)
-    assert (gh.k, gh.l) == (2 * q, 1)
-    ident = graded_mult_type(WeightType(4, 2, q), WeightType(0, 0, q))
-    assert (ident.k, ident.l) == (4, 2)
-    sq = graded_mult_type(WeightType(4, 2, q), WeightType(4, 2, q))
-    assert (sq.k, sq.l) == (8, 0)
-
-
-def test_weight_type_canonicalizes_type_residue():
-    wt = WeightType(8, 6, 5)
-    assert wt.l == 2
-    assert wt.is_consistent()
-    assert not WeightType(8, 1, 5).is_consistent()
