@@ -13,13 +13,21 @@ new generators are drawn from the Riemann-Roch basis to fill the
 complement, and kernel vectors of the monomial-evaluation map are reported
 as relations once consequences of earlier relations are quotiented away.
 
-The row reduction is fraction-free: rows, their tracked expressions and the
-consequence rows of earlier relations are integer vectors, reduced by
-cross-multiplication and kept divided by their content.  A Fraction is built
-in one place only, when a dependent monomial's integer dependency is divided
-by its own coefficient to give the reported relation; that relation is the
-unique dependency on the earlier independent monomials, so it does not
-depend on how the elimination scaled its rows.
+The walk over degrees is integer arithmetic: D's three coefficients are
+written over one common denominator, so floor(d*D), h^0 and the exponent
+offsets of each degree are three integer floor divisions.
+
+The row reduction is sparse and fraction-free: rows, their tracked
+expressions and the consequence rows of earlier relations are {column: int}
+dicts, reduced by cross-multiplication at their pivot columns only and kept
+divided by their content.  Consequences of earlier relations lie in the
+kernel, and the kernel vectors of a degree are independent (each has its
+own dependent monomial), so once the consequences reach the kernel's
+dimension every remaining kernel vector is absorbed without being reduced.
+A Fraction is built in one place only, when a dependent monomial's integer
+dependency is divided by its own coefficient to give the reported relation;
+that relation is the unique dependency on the earlier independent
+monomials, so it does not depend on how the elimination scaled its rows.
 """
 
 from __future__ import annotations
@@ -27,7 +35,8 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb, gcd
+from heapq import heapify, heappop, heappush
+from math import comb, gcd, lcm
 
 from .ffarith import WorkBoundError
 
@@ -261,20 +270,23 @@ class RingPresentation:
 
 
 class _Rref:
-    """Incremental fraction-free row reduction over Z with optional expression tracking.
+    """Incremental fraction-free sparse row reduction over Z with optional expression tracking.
 
-    A stored row is (vec, expr, pivot): an integer vector whose first nonzero
-    entry sits at the pivot column, and, when tracked, an integer dict over
-    the caller's keys whose combination of inserted vectors is vec.  A new
-    vector v is reduced against each row r with v[p] != 0 by cross-multiplying,
-    v <- (r[p]/g)*v - (v[p]/g)*r with g = gcd(v[p], r[p]), and its expression
-    gets the same update, so every value stays an integer.  Before it is
-    stored, a row and its expression are divided by their common content; an
-    untracked row is thus a primitive vector.
+    Vectors are {column: nonzero int} dicts.  A stored row sits in the map
+    pivot -> (row, expr): its pivot is its smallest column, it is zero at
+    every pivot stored before it, and, when tracked, expr is an integer dict
+    over the caller's keys whose combination of inserted vectors is the row.
+    A new vector v is reduced by repeatedly eliminating its smallest column
+    p that is a stored pivot, cross-multiplying with that pivot's row r,
+    v <- (r[p]/g)*v - (v[p]/g)*r with g = gcd(v[p], r[p]); its expression
+    gets the same update, so every value stays an integer.  Rows only carry
+    columns at or after their pivot, so each step leaves v zero at p and
+    unchanged before it.  Before it is stored, a row and its expression are
+    divided by their common content; an untracked row is thus primitive.
     """
 
     def __init__(self):
-        self.rows = []  # (integer vector, integer expr dict or None, pivot column)
+        self.rows = {}  # pivot -> (integer row dict, integer expr dict or None)
 
     @property
     def rank(self):
@@ -286,30 +298,45 @@ class _Rref:
         For a dependent vector the residual expression is an integer
         dependency among the inserted vectors.
         """
-        vec = list(vec)
+        rows = self.rows
+        vec = dict(vec)
         expr = dict(expr) if expr is not None else None
-        for rvec, rexpr, piv in self.rows:
-            f = vec[piv]
-            if not f:
-                continue
+        todo = [k for k in vec if k in rows]
+        heapify(todo)
+        while todo:
+            piv = heappop(todo)
+            f = vec.get(piv)
+            if f is None:
+                continue  # a duplicate entry, or a column that cancelled
+            rvec, rexpr = rows[piv]
             r = rvec[piv]
             g = gcd(f, r)
             a, b = r // g, f // g
-            vec = [a * x - b * y for x, y in zip(vec, rvec)]
+            if a != 1:
+                vec = {k: a * x for k, x in vec.items()}
+            for k, y in rvec.items():
+                x = vec.get(k)
+                if x is None:
+                    vec[k] = -b * y
+                    if k in rows:
+                        heappush(todo, k)
+                elif x == b * y:
+                    del vec[k]
+                else:
+                    vec[k] = x - b * y
             if expr is not None and rexpr is not None:
                 if a != 1:
                     expr = {k: a * v for k, v in expr.items()}
                 for k, v in rexpr.items():
                     expr[k] = expr.get(k, 0) - b * v
-        piv = next((i for i, x in enumerate(vec) if x), None)
-        if piv is None:
+        if not vec:
             return False, expr
-        c = gcd(*vec, *expr.values()) if expr is not None else gcd(*vec)
+        c = gcd(*vec.values(), *expr.values()) if expr is not None else gcd(*vec.values())
         if c != 1:
-            vec = [x // c for x in vec]
+            vec = {k: x // c for k, x in vec.items()}
             if expr is not None:
                 expr = {k: v // c for k, v in expr.items()}
-        self.rows.append((vec, expr, piv))
+        rows[min(vec)] = (vec, expr)
         return True, expr
 
 
@@ -348,14 +375,18 @@ def presentation(D, max_weight):
     """
     if max_weight < 2 or max_weight % 2 != 0:
         raise ValueError("max_weight must be an even integer >= 2")
+    # D = (nz(0) + no(1) + ni(inf)) / den, so floor(d*D) is three integer floors
+    coeffs = [D.coeff(pt) for pt in POINT_ORDER]
+    den = lcm(*(v.denominator for v in coeffs))
+    nz, no, ni = (v.numerator * (den // v.denominator) for v in coeffs)
     gens = []
     relations = []
     relation_rows = []  # (degree, integer combination) for each relation
     logs = []
     budget = 0
     for d in range(1, max_weight // 2 + 1):
-        basis = rr_basis(d * D)
-        dim_h0 = basis.size
+        a, b = d * nz // den, d * no // den
+        dim_h0 = max(0, a + b + d * ni // den + 1)
         degrees = [g.degree for g in gens]
         monos = _monomials(degrees, d) if gens else []
         budget += (len(monos) + dim_h0) * max(1, dim_h0)
@@ -372,21 +403,18 @@ def presentation(D, max_weight):
                 DegreeLog(2 * d, 0, 0, 0, 0, 0, (), ())
             )
             continue
-        dim = dim_h0
         span = _Rref()
         kernels = []  # (monomial index, integer dependency over monomial indices)
         for idx, exps in enumerate(monos):
             t_total = sum(e * g.t_exp for e, g in zip(exps, gens))
             s_total = sum(e * g.s_exp for e, g in zip(exps, gens))
-            m_exp = t_total + basis.a
-            b_exp = s_total + basis.b
-            if m_exp < 0 or b_exp < 0 or m_exp + b_exp >= dim:
+            m_exp = t_total + a
+            b_exp = s_total + b
+            if m_exp < 0 or b_exp < 0 or m_exp + b_exp >= dim_h0:
                 raise AssertionError("product left its graded piece")
-            vec = [0] * dim
-            sign = -1 if b_exp % 2 else 1
-            for i in range(b_exp + 1):
-                vec[m_exp + i] = sign * comb(b_exp, i)
-                sign = -sign
+            vec = {
+                m_exp + i: (-1) ** (b_exp - i) * comb(b_exp, i) for i in range(b_exp + 1)
+            }
             added, dep = span.try_add(vec, {idx: 1})
             if not added:
                 kernels.append((idx, {k: v for k, v in dep.items() if v}))
@@ -399,44 +427,32 @@ def presentation(D, max_weight):
             if shift < 0:
                 continue
             for mu in _monomials(degrees, shift):
-                vec = [0] * len(monos)
+                vec = {}
                 for exps, coeff in combo:
-                    shifted = tuple(
-                        a + b for a, b in zip(_pad(exps, len(gens)), mu)
-                    )
-                    vec[mono_index[shifted]] += coeff
+                    shifted = tuple(x + y for x, y in zip(_pad(exps, len(gens)), mu))
+                    vec[mono_index[shifted]] = coeff
                 cons.try_add(vec)
         absorbed = 0
         new_rels = []
         for idx, dep in kernels:
-            vec = [0] * len(monos)
-            for key, val in dep.items():
-                vec[key] = val
-            added, _ = cons.try_add(vec)
-            if added:
-                keys = sorted(dep)
-                # the one place a Fraction is built: the kernel, normalised at idx
-                combo = tuple((monos[k], Fraction(dep[k], dep[idx])) for k in keys)
-                rel = Relation(weight=2 * d, combo=combo)
-                relations.append(rel)
-                new_rels.append(rel)
-                relation_rows.append((d, tuple((monos[k], dep[k]) for k in keys)))
-            else:
+            # cons lies in the kernel, of dimension len(kernels): at that rank it spans it
+            if cons.rank == len(kernels) or not cons.try_add(dep)[0]:
                 absorbed += 1
+                continue
+            keys = sorted(dep)
+            # the one place a Fraction is built: the kernel, normalised at idx
+            combo = tuple((monos[k], Fraction(dep[k], dep[idx])) for k in keys)
+            rel = Relation(weight=2 * d, combo=combo)
+            relations.append(rel)
+            new_rels.append(rel)
+            relation_rows.append((d, tuple((monos[k], dep[k]) for k in keys)))
         # fill the complement with Riemann-Roch sections
         new_gens = []
         if span.rank < dim_h0:
-            for m in basis.exps:
-                vec = [0] * dim
-                vec[m] = 1
-                added, _ = span.try_add(vec)
+            for m in range(dim_h0):
+                added, _ = span.try_add({m: 1})
                 if added:
-                    gen = Generator(
-                        degree=d,
-                        section_index=m,
-                        t_exp=m - basis.a,
-                        s_exp=-basis.b,
-                    )
+                    gen = Generator(degree=d, section_index=m, t_exp=m - a, s_exp=-b)
                     gens.append(gen)
                     new_gens.append(gen)
                 if span.rank == dim_h0:

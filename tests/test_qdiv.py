@@ -299,6 +299,92 @@ def test_presentation_enforces_work_budget():
         presentation(D, max_weight=400)
 
 
+@pytest.mark.parametrize("q", _ODD_PRIME_POWERS_UP_TO_81)
+def test_preset_presentations_match_their_closed_forms(q):
+    F = get_field(q)
+    full = presentation(
+        log_canonical_divisor(assemble_invariants("GL2A_2", F)), 4 * (q + 1)
+    )
+    assert full.generator_weights() == (q - 1, q + 1)
+    assert full.relations == ()
+    gamma0 = presentation(
+        log_canonical_divisor(assemble_invariants("Gamma0T_2", F)), 4 * (q + 1)
+    )
+    assert sorted(gamma0.generator_weights()) == [2, q - 1, q - 1]
+    assert gamma0.relation_weights() == (2 * (q - 1),)
+
+
+_SAMPLE_POINTS = (Fraction(2), Fraction(-1), Fraction(1, 3))
+
+
+def _exponents(degrees, total):
+    """Every exponent tuple e with sum(e_i * degrees_i) = total."""
+    if not degrees:
+        return [()] if total == 0 else []
+    return [
+        (e,) + rest
+        for e in range(total // degrees[0] + 1)
+        for rest in _exponents(degrees[1:], total - e * degrees[0])
+    ]
+
+
+def _rank(rows):
+    """Rank of a list of Fraction rows, by plain Gaussian elimination."""
+    rank, rows = 0, [list(r) for r in rows]
+    for col in range(len(rows[0]) if rows else 0):
+        piv = next((i for i in range(rank, len(rows)) if rows[i][col]), None)
+        if piv is None:
+            continue
+        rows[rank], rows[piv] = rows[piv], rows[rank]
+        for i in range(rank + 1, len(rows)):
+            f = rows[i][col] / rows[rank][col]
+            rows[i] = [x - f * y for x, y in zip(rows[i], rows[rank])]
+        rank += 1
+    return rank
+
+
+def test_presentations_of_random_divisors_have_the_riemann_roch_hilbert_function():
+    # Oracle: relations vanish at sample points, and in every degree d the
+    # monomials in the generators modulo all shifts of the relations have
+    # dimension h0(d*D); both are computed here with Fractions alone.
+    rng = random.Random(SEED + 2)
+    max_weight, draws, with_relations = 16, 0, 0
+    while draws < 60:
+        D = QDivisor(
+            {pt: Fraction(rng.randint(-6, 6), rng.randint(1, 4)) for pt in (Z, O, I)}
+        )
+        if not 0 < D.degree() <= 2:
+            continue
+        draws += 1
+        pres = presentation(D, max_weight)
+        gens = pres.generators
+        for rel in pres.relations:
+            for t in _SAMPLE_POINTS:
+                values = [t ** g.t_exp * (t - 1) ** g.s_exp for g in gens]
+                total = Fraction(0)
+                for exps, coeff in rel.combo:
+                    term = coeff
+                    for v, e in zip(values, exps):
+                        term *= v ** e
+                    total += term
+                assert total == 0, (D, rel)
+        with_relations += bool(pres.relations)
+        degrees = [g.degree for g in gens]
+        for d in range(1, max_weight // 2 + 1):
+            monos = _exponents(degrees, d)
+            index = {exps: i for i, exps in enumerate(monos)}
+            shifts = []
+            for rel in pres.relations:
+                for mu in _exponents(degrees, d - rel.weight // 2):
+                    row = [Fraction(0)] * len(monos)
+                    for exps, coeff in rel.combo:
+                        exps += (0,) * (len(gens) - len(exps))
+                        row[index[tuple(x + y for x, y in zip(exps, mu))]] += coeff
+                    shifts.append(row)
+            assert len(monos) - _rank(shifts) == h0(d * D), (D, d)
+    assert with_relations >= draws // 2
+
+
 def test_presentation_of_a_free_ring_on_a_half_integer_divisor():
     pres = presentation(qdiv(i=Fraction(1, 2)), max_weight=10)
     # degree d has h0 = 1 + floor(d/2): the degree-1 constant and one

@@ -1,10 +1,12 @@
 """Seeded property tests of the presentation engine's integer row reduction.
 
-`_Rref` eliminates fraction-free over Z.  Random rows with small integer
-and Fraction entries (some built as combinations of earlier rows, so that
-dependencies occur) are cleared of denominators and inserted one by one;
-the result is checked against a plain Fraction elimination written out
-below, and the stored rows against the invariants the engine relies on.
+`_Rref` eliminates fraction-free over Z on sparse rows.  Random sparse rows
+with small integer and Fraction entries (some built as combinations of
+earlier rows, so that dependencies occur and reductions take several steps
+and fill in) are cleared of denominators and inserted one by one as
+{column: entry} dicts; the result is checked against a plain dense Fraction
+elimination written out below, and the stored rows against the invariants
+the engine relies on.
 """
 
 from __future__ import annotations
@@ -27,15 +29,21 @@ entries = st.one_of(
 
 @st.composite
 def row_lists(draw):
-    """1 to 8 rows of length 1 to 5; a row may be a combination of earlier ones."""
-    dim = draw(st.integers(1, 5))
+    """1 to 16 rows of length 1 to 16.
+
+    A fresh row has at most 4 nonzero entries; otherwise a row is a
+    combination of up to 3 earlier rows, so it stays sparse.
+    """
+    dim = draw(st.integers(1, 16))
     rows = []
-    for _ in range(draw(st.integers(1, 8))):
+    for _ in range(draw(st.integers(1, 16))):
         if rows and draw(st.booleans()):
-            coeffs = [draw(entries) for _ in rows]
-            row = [sum(c * r[j] for c, r in zip(coeffs, rows)) for j in range(dim)]
+            picked = draw(st.sets(st.integers(0, len(rows) - 1), min_size=1, max_size=3))
+            coeffs = {i: draw(entries) for i in sorted(picked)}
+            row = [sum(c * rows[i][j] for i, c in coeffs.items()) for j in range(dim)]
         else:
-            row = [draw(entries) for _ in range(dim)]
+            support = draw(st.sets(st.integers(0, dim - 1), max_size=4))
+            row = [draw(entries) if j in support else Fraction(0) for j in range(dim)]
         rows.append(row)
     return rows
 
@@ -60,9 +68,24 @@ def reference(rows):
 
 
 def cleared(row):
-    """(integer row, scale) with integer row = scale * row."""
+    """(integer row dict, scale) with integer row = scale * row, zeros left out."""
     scale = lcm(*(x.denominator for x in row))
-    return [int(x * scale) for x in row], scale
+    return {j: int(x * scale) for j, x in enumerate(row) if x}, scale
+
+
+def check_stored_rows(span, tracked):
+    """Each row: nonzero entries, pivot its smallest column, zero at every
+    earlier pivot, and primitive (jointly with its expression when tracked)."""
+    pivots = list(span.rows)
+    for n, (piv, (vec, expr)) in enumerate(span.rows.items()):
+        assert all(vec.values())
+        assert piv == min(vec)
+        assert not any(p in vec for p in pivots[:n])
+        if tracked:
+            assert gcd(*vec.values(), *expr.values()) == 1
+        else:
+            assert expr is None
+            assert gcd(*vec.values()) == 1
 
 
 @SEEDED
@@ -84,11 +107,10 @@ def test_tracked_reduction_matches_the_fraction_reference(rows):
         for j in range(len(rows[0])):
             assert sum(c * rows[k][j] for k, c in kernel.items()) == 0
     assert span.rank == sum(added for added, _ in want)
-    for vec, expr, piv in span.rows:
-        assert vec[piv] and not any(vec[:piv])
-        assert gcd(*vec, *expr.values()) == 1
-        for j, x in enumerate(vec):
-            assert sum(c * ints[k][j] for k, c in expr.items()) == x
+    check_stored_rows(span, tracked=True)
+    for vec, expr in span.rows.values():
+        for j in range(len(rows[0])):
+            assert sum(c * ints[k].get(j, 0) for k, c in expr.items()) == vec.get(j, 0)
 
 
 @SEEDED
@@ -98,6 +120,4 @@ def test_untracked_rows_are_primitive_and_ranks_agree(rows):
     for vec, (want_added, _) in zip((cleared(r)[0] for r in rows), reference(rows)):
         added, expr = span.try_add(vec)
         assert (added, expr) == (want_added, None)
-    for n, (vec, _, piv) in enumerate(span.rows):
-        assert gcd(*vec) == 1
-        assert vec[piv] and all(vec[p] == 0 for _, _, p in span.rows[:n])
+    check_stored_rows(span, tracked=False)
