@@ -21,7 +21,7 @@ from .curveinv import (
     elliptic_search,
     parity,
 )
-from .ffarith import Q_MAX, Fq, ParseError, WorkBoundError, format_poly
+from .ffarith import Q_MAX, Fq, ParseError, WorkBoundError, check_field, format_poly
 from .qdiv import h0_weighted, log_canonical_divisor, presentation, rr_basis
 from .useries import SupportError, parse_useries, split
 from .weights import VanishingProfile, dim_gamma0T, type_solutions, valence_check
@@ -32,14 +32,17 @@ DIMS_K_MAX = 1000
 SECTIONRING_WEIGHT_MAX = 4 * (Q_MAX + 1)
 
 
+def _modulus(args):
+    if not getattr(args, "modulus", None):
+        return None
+    try:
+        return tuple(int(c) for c in args.modulus.split(","))
+    except ValueError:
+        raise ParseError("modulus must be comma-separated integers", 0)
+
+
 def _field(args):
-    modulus = None
-    if getattr(args, "modulus", None):
-        try:
-            modulus = tuple(int(c) for c in args.modulus.split(","))
-        except ValueError:
-            raise ParseError("modulus must be comma-separated integers", 0)
-    return Fq(args.q, modulus=modulus)
+    return Fq(args.q, modulus=_modulus(args))
 
 
 def _emit(args, payload, lines):
@@ -114,8 +117,8 @@ def cmd_dims(args):
             "--k-max %d exceeds the supported maximum DIMS_K_MAX = %d"
             % (args.k_max, DIMS_K_MAX)
         )
-    field = _field(args)
-    q = field.q
+    check_field(args.q, _modulus(args))  # reads only q: no field tables
+    q = args.q
     rows = []
     for k in range(2, args.k_max + 1, 2):
         for l in sorted(type_solutions(k, q)):
@@ -259,18 +262,19 @@ def cmd_cusps(args):
 
 
 def cmd_valence(args):
-    field = _field(args)
+    check_field(args.q, _modulus(args))  # reads only q: no field tables
+    q = args.q
     others = ()
     if args.v_other:
         others = tuple(int(x) for x in args.v_other.split(","))
     prof = VanishingProfile(
         k=args.k, v_inf=args.v_inf, v_e=args.v_e, v_other=others
     )
-    holds = valence_check(prof, field.q)
+    holds = valence_check(prof, q)
     payload = {
         "schema": SCHEMA,
         "command": "valence",
-        "q": field.q,
+        "q": q,
         "k": args.k,
         "v_inf": args.v_inf,
         "v_e": args.v_e,

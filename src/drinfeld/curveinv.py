@@ -5,7 +5,10 @@ Three computations give invariants of a congruence subgroup:
   * cusps: orbits of primitive vectors in (A/N)^2 under the group's image
     mod N together with scalar rescaling, found by forward closure under a
     small generating set per family (the group mod N is finite, so no
-    inverses are needed);
+    inverses are needed; the torus comes from a generating set of
+    (A/N)^x).  Residues are coded as ints, and each generator acts through
+    one multiplication table per entry and one addition table, built per
+    request, so the closure does no polynomial arithmetic;
   * elliptic witnesses: exhaustive search of a family-shaped parameter box
     for non-scalar members whose fixed-point quadratic
     z^2 + ((d-a)/c) z - b/c is irreducible over K (equivalently, whose
@@ -13,7 +16,9 @@ Three computations give invariants of a congruence subgroup:
     walked over (a, c, d) and b is solved from each allowed determinant,
     and each witness is recorded with its determinant;
   * parity: square / non-square classification of the group from the
-    witness determinants, which fixes the stabilizer index [G_e : (G_2)_e].
+    witness determinants, which fixes the stabilizer index [G_e : (G_2)_e];
+    it reads the search one value of a at a time and stops at the first
+    block that decides.
 
 The two preset curves, the full-group square-determinant curve and the
 Gamma_0(T) square-determinant curve, are published data: genus and the
@@ -24,6 +29,7 @@ The computations above are their test oracles, not their inputs.
 from __future__ import annotations
 
 import itertools
+import operator
 from dataclasses import dataclass
 
 from .congruence import GroupSpec, Mat2
@@ -114,74 +120,125 @@ class CurveInvariants:
     elliptic_points: tuple
 
 
-def _residues(N):
-    """All residues mod N, as reduced polynomials of degree < deg N."""
-    return _polys_up_to(N.field, N.degree - 1)
+class _Residues:
+    """A/N with each residue coded as one int 0 <= r < R = q^deg N.
+
+    The base-q digits of r are the F_q codes of the residue's coefficients,
+    the constant term most significant, so `polys[r]` runs through the
+    residues in the order of `_polys_up_to`.  `gcds[r]` is gcd(polys[r], N).
+    Tables on codes are built per instance: `add_table()` by digit-wise
+    field.add, and `mul_table(m)` for multiplication by a fixed residue m.
+    """
+
+    def __init__(self, N):
+        if N.is_zero() or N.is_constant():
+            raise ValueError("level must be nonconstant")
+        field = N.field
+        if field.q ** (2 * N.degree) > ELLIPTIC_BOX_LIMIT:
+            raise WorkBoundError(
+                "residue space too large: %d^%d pairs exceed ELLIPTIC_BOX_LIMIT = %d"
+                % (field.q, 2 * N.degree, ELLIPTIC_BOX_LIMIT)
+            )
+        self.N = N
+        self.polys = _polys_up_to(field, N.degree - 1)
+        self.place = [field.q**i for i in reversed(range(N.degree))]
+        self.gcds = [f.gcd(N) for f in self.polys]
+
+    def code(self, f):
+        """The code of a reduced residue f."""
+        return sum(map(operator.mul, f.coeffs, self.place))
+
+    def mul_table(self, m):
+        """table[r] = the code of m * polys[r] mod N."""
+        N = self.N
+        return [self.code(m * f % N) for f in self.polys]
+
+    def add_table(self):
+        """table[x][y] = the code of polys[x] + polys[y]."""
+        field = self.N.field
+        q = field.q
+        digit = [[field.add(x, y) for y in range(q)] for x in range(q)]
+        table = [[0]]
+        for _ in self.place:
+            # append a least significant digit to every code
+            table = [[hi * q + lo for hi in high for lo in low] for high in table for low in digit]
+        return table
+
+    def primitive(self, order):
+        """The code pairs (u, v) with gcd(u, v, N) = 1, u and v walked in order."""
+        one = PolyA.one(self.N.field)
+        divisors = list(dict.fromkeys(self.gcds))
+        coprime = [[d.gcd(e) == one for e in divisors] for d in divisors]
+        kind = [divisors.index(g) for g in self.gcds]
+        return [(u, v) for u in order for v in order if coprime[kind[u]][kind[v]]]
 
 
 def primitive_vectors(N):
     """All (u, v) in (A/N)^2 with gcd(u, v, N) = 1."""
-    if N.is_zero() or N.is_constant():
-        raise ValueError("level must be nonconstant")
-    field = N.field
-    if field.q ** (2 * N.degree) > ELLIPTIC_BOX_LIMIT:
-        raise WorkBoundError(
-            "residue space too large: %d^%d pairs exceed ELLIPTIC_BOX_LIMIT = %d"
-            % (field.q, 2 * N.degree, ELLIPTIC_BOX_LIMIT)
-        )
-    res = _residues(N)
-    one = PolyA.one(field)
-    out = []
-    for u in res:
-        gu = u.gcd(N)
-        if gu == one:
-            out.extend((u, v) for v in res)
-            continue
-        for v in res:
-            if gu.gcd(v) == one:
-                out.append((u, v))
-    return out
+    res = _Residues(N)
+    polys = res.polys
+    return [(polys[u], polys[v]) for u, v in res.primitive(range(len(polys)))]
 
 
-def _mod_n_generators(G, N):
-    """A generating set of <image of G mod N, scalars>.
+def _mod_n_generators(G, res):
+    """A generating set of <image of G mod N, scalars>, as code tables.
 
-    Matrices are (a, b, c, d) tuples of residues.  The group mod N is
-    finite, so a forward closure under any generating set reaches a whole
-    orbit and no inverses are listed.  gen*I generates the scalars, which
-    realize the F_q^x rescaling of primitive vectors.  The rest generate the
-    group's image mod N: the elementary matrices (1, x; 0, 1), and
-    (1, 0; x, 1) for the full group, with x over the F_p-basis a_j T^i of
-    A/N (a_j the element of code p^j); one diagonal matrix whose determinant
-    generates the allowed determinant subgroup; and for gamma0 and the full
-    group the torus (r, 0; 0, r^-1) over all units r mod N.
+    A generator (a, b; c, d) is returned as the four tables
+    `res.mul_table` of its entries; entries that repeat share a table.  The
+    group mod N is finite, so a forward closure under any generating set
+    reaches a whole orbit and no inverses are listed.  gen*I generates the
+    scalars, which realize the F_q^x rescaling of primitive vectors.  The
+    rest generate the group's image mod N: the elementary matrices
+    (1, x; 0, 1), and (1, 0; x, 1) for the full group, with x over the
+    F_p-basis a_j T^i of A/N (a_j the element of code p^j); one diagonal
+    matrix whose determinant generates the allowed determinant subgroup;
+    and for gamma0 and the full group the torus (r, 0; 0, r^-1) for r over
+    a generating set of (A/N)^x.  That set is found by walking the units in
+    code order and keeping r when it is not yet in the subgroup the kept
+    ones generate.
     """
+    N = res.N
     field = N.field
     zero = PolyA.zero(field)
     one = PolyA.one(field)
+    tables = {}
+
+    def table(m):
+        if m not in tables:
+            tables[m] = res.mul_table(m)
+        return tables[m]
+
     scalar = PolyA.const(field, field.gen)
     gens = [(scalar, zero, zero, scalar)]
-    if G.family == "gammaN":
-        return gens
-    basis = [
-        _poly(field, [0] * i + [field.p**j])
-        for i in range(N.degree)
-        for j in range(field.e)
-    ]
-    gens.extend((one, x, zero, one) for x in basis)
-    det_vals = G.det_values(field)
-    delta = PolyA.const(field, det_vals[1 % len(det_vals)])
-    if G.family == "gamma1":
-        gens.append((one, zero, zero, delta))
-        return gens
-    for r in _residues(N):
-        g, s, _ = poly_ext_gcd(r, N)
-        if g == one:
-            gens.append((r, zero, zero, s % N))
-    gens.append((delta, zero, zero, one))
-    if G.family == "full":
-        gens.extend((one, zero, x, one) for x in basis)
-    return gens
+    if G.family != "gammaN":
+        basis = [
+            _poly(field, [0] * i + [field.p**j])
+            for i in range(N.degree)
+            for j in range(field.e)
+        ]
+        gens.extend((one, x, zero, one) for x in basis)
+        det_vals = G.det_values(field)
+        delta = PolyA.const(field, det_vals[1 % len(det_vals)])
+        if G.family == "gamma1":
+            gens.append((one, zero, zero, delta))
+        else:
+            span = {res.code(one)}
+            for r, f in enumerate(res.polys):
+                if r in span or res.gcds[r] != one:
+                    continue
+                gens.append((f, zero, zero, poly_ext_gcd(f, N)[1] % N))
+                # add the cosets f^k * span until f^k lies in span
+                mul = table(f)
+                coset = list(span)
+                while True:
+                    coset = [mul[s] for s in coset]
+                    if coset[0] in span:
+                        break
+                    span.update(coset)
+            gens.append((delta, zero, zero, one))
+            if G.family == "full":
+                gens.extend((one, zero, x, one) for x in basis)
+    return [tuple(map(table, gen)) for gen in gens]
 
 
 def cusps(G, field=None):
@@ -189,7 +246,10 @@ def cusps(G, field=None):
 
     The full group uses the internal level T (any level gives one orbit
     since the action is transitive).  Levels of degree > 2 exceed the
-    work bound.
+    work bound.  The closure runs on residue codes: one step reads four
+    multiplication tables and the addition table twice.  The primitive
+    vectors are walked in sort-key order, so the first vector of each new
+    orbit is its least element and the representatives come out sorted.
     """
     field = G.field_for(field)
     N = G.level if G.level is not None else PolyA.T(field)
@@ -198,35 +258,32 @@ def cusps(G, field=None):
             "cusp computation limited to levels of degree <= CUSP_LEVEL_DEG_LIMIT"
             " = %d: the level has degree %d" % (CUSP_LEVEL_DEG_LIMIT, N.degree)
         )
-    prim = primitive_vectors(N)
-    gens = _mod_n_generators(G, N)
-    seen = set()
-    orbits = []
-    for start in prim:
-        if start in seen:
+    res = _Residues(N)
+    polys = res.polys
+    R = len(polys)
+    prim = res.primitive(sorted(range(R), key=lambda r: polys[r].sort_key()))
+    gens = _mod_n_generators(G, res)
+    add = res.add_table()
+    seen = bytearray(R * R)
+    reps, sizes = [], []
+    for u0, v0 in prim:
+        if seen[u0 * R + v0]:
             continue
-        seen.add(start)
-        stack = [start]
-        orbit = [start]
+        seen[u0 * R + v0] = 1
+        stack = [(u0, v0)]
+        size = 1
         while stack:
             u, v = stack.pop()
-            for a, b, c, d in gens:
-                w = ((a * u + b * v) % N, (c * u + d * v) % N)
-                if w not in seen:
-                    seen.add(w)
-                    orbit.append(w)
-                    stack.append(w)
-        orbits.append(orbit)
-    keyed = []
-    for orbit in orbits:
-        rep = min(orbit, key=lambda w: (w[0].sort_key(), w[1].sort_key()))
-        keyed.append((rep, len(orbit)))
-    keyed.sort(key=lambda item: (item[0][0].sort_key(), item[0][1].sort_key()))
-    return CuspSet(
-        reps=tuple(rep for rep, _ in keyed),
-        sizes=tuple(size for _, size in keyed),
-        total=len(prim),
-    )
+            for ma, mb, mc, md in gens:
+                x = add[ma[u]][mb[v]]
+                y = add[mc[u]][md[v]]
+                if not seen[x * R + y]:
+                    seen[x * R + y] = 1
+                    size += 1
+                    stack.append((x, y))
+        reps.append((polys[u0], polys[v0]))
+        sizes.append(size)
+    return CuspSet(reps=tuple(reps), sizes=tuple(sizes), total=len(prim))
 
 
 def _polys_up_to(field, deg_bound):
@@ -249,7 +306,17 @@ def elliptic_search(G, deg_bound, field=None):
     is an allowed delta), so no membership test is run.  A candidate is kept
     as a witness when its fixed-point discriminant ((a+d)^2 - 4*delta)/c^2
     is nonzero and not a square in K, that is, when (a+d)^2 - 4*delta is
-    not a square in A.  Output is sorted lexicographically on matrix entries.
+    not a square in A.  Output is sorted lexicographically on matrix entries:
+    a is walked in sort-key order and each a-block is sorted on its own.
+    """
+    return [w for block in _witness_blocks(G, deg_bound, field) for w in block]
+
+
+def _witness_blocks(G, deg_bound, field):
+    """The witnesses of `elliptic_search`, one sorted list per a, in order.
+
+    The arguments are checked, and a box over ELLIPTIC_BOX_LIMIT refused,
+    before the iterator is returned; each block is searched when it is read.
     """
     if deg_bound < 0:
         raise ValueError("deg_bound must be non-negative, got %d" % deg_bound)
@@ -277,8 +344,14 @@ def elliptic_search(G, deg_bound, field=None):
         else:
             a_vals = _polys_up_to(field, deg_bound + 1)
     dets = [PolyA.const(field, x) for x in G.det_values(field)]
-    witnesses = []
-    for a, c, d in itertools.product(a_vals, c_vals, polys):
+    a_vals = sorted(a_vals, key=PolyA.sort_key)
+    return (_a_block(a, c_vals, polys, dets, deg_bound) for a in a_vals)
+
+
+def _a_block(a, c_vals, d_vals, dets, deg_bound):
+    """The witnesses with upper-left entry a, sorted on matrix entries."""
+    block = []
+    for c, d in itertools.product(c_vals, d_vals):
         ad = a * d
         tr = a + d
         for delta in dets:
@@ -289,7 +362,7 @@ def elliptic_search(G, deg_bound, field=None):
             if disc.is_zero() or poly_sqrt(disc) is not None:
                 continue
             gamma = Mat2(a, b, c, d)
-            witnesses.append(
+            block.append(
                 EllipticWitness(
                     gamma=gamma,
                     quad_b=RatK(d - a, c),
@@ -298,19 +371,29 @@ def elliptic_search(G, deg_bound, field=None):
                     det_is_square=is_square_fq(gamma.det),
                 )
             )
-    witnesses.sort(key=lambda w: w.gamma.sort_key())
-    return witnesses
+    block.sort(key=lambda w: w.gamma.sort_key())
+    return block
 
 
 def parity(G, deg_bound, field=None):
-    """Square / non-square classification from the witness determinants."""
-    witnesses = elliptic_search(G, deg_bound, field)
-    if not witnesses:
-        return Parity("NoWitnessFound", deg_bound)
-    for w in witnesses:
-        if not w.det_is_square:
-            return Parity("NonSquare", deg_bound, w)
-    return Parity("Square", deg_bound)
+    """Square / non-square classification from the witness determinants.
+
+    The a-blocks of `elliptic_search` are read in order until one decides:
+    the first non-square-determinant witness in sort order gives NonSquare,
+    and when no allowed determinant is a non-square the first witness
+    gives Square.
+    """
+    blocks = _witness_blocks(G, deg_bound, field)
+    only_squares = all(map(is_square_fq, G.det_values(G.field_for(field))))
+    found = False
+    for block in blocks:
+        for w in block:
+            if not w.det_is_square:
+                return Parity("NonSquare", deg_bound, w)
+        found = found or bool(block)
+        if found and only_squares:
+            break
+    return Parity("Square" if found else "NoWitnessFound", deg_bound)
 
 
 def assemble_invariants(preset, field):

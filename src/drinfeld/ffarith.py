@@ -64,6 +64,25 @@ def _factor_prime_power(q):
     return p, e
 
 
+def check_field(q, modulus=None):
+    """Validate the arguments of `Fq` without building its tables.
+
+    Returns (p, e, modulus) with the modulus reduced mod p; it stays None
+    when not given, and a modulus for prime q is refused.
+    """
+    p, e = _factor_prime_power(q)
+    if modulus is None:
+        return p, e, None
+    if e == 1:
+        raise ValueError("modulus only applies to non-prime q")
+    modulus = tuple(c % p for c in modulus)
+    if len(modulus) != e + 1 or modulus[-1] != 1:
+        raise ValueError("modulus must be monic of degree e")
+    if not _fp_irreducible(modulus, p):
+        raise ValueError("modulus is reducible over F_%d" % p)
+    return p, e, modulus
+
+
 class Fq:
     """The finite field with q = p^e elements, q odd and at most Q_MAX.
 
@@ -76,23 +95,13 @@ class Fq:
     """
 
     def __init__(self, q, modulus=None):
-        p, e = _factor_prime_power(q)
+        p, e, modulus = check_field(q, modulus)
         self.q = q
         self.p = p
         self.e = e
-        if e == 1:
-            if modulus is not None:
-                raise ValueError("modulus only applies to non-prime q")
-            self.modulus = None
-        else:
-            if modulus is None:
-                modulus = self._default_modulus()
-            modulus = tuple(c % p for c in modulus)
-            if len(modulus) != e + 1 or modulus[-1] != 1:
-                raise ValueError("modulus must be monic of degree e")
-            if not _fp_irreducible(modulus, p):
-                raise ValueError("modulus is reducible over F_%d" % p)
-            self.modulus = modulus
+        if e > 1 and modulus is None:
+            modulus = self._default_modulus()
+        self.modulus = modulus
         # coords[x]: the coordinate tuple of code x, lowest digit first.
         self.coords = [c[::-1] for c in itertools.product(range(p), repeat=e)]
         for x in range(1, q):

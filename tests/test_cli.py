@@ -408,6 +408,20 @@ def test_field_size_is_bounded_before_any_work(capsys):
     assert "65536" in err
 
 
+def test_q_only_commands_check_q_without_building_the_field(capsys, monkeypatch):
+    def no_field(*args, **kwargs):
+        raise AssertionError("field built for a command that reads only q")
+
+    monkeypatch.setattr("drinfeld.cli.Fq", no_field)
+    assert run(capsys, "dims", "--q", "2187", "--k-max", "4")[0] == 0
+    assert run(capsys, "valence", "--q", "2187", "--k", "4")[0] == 0
+    code, out, err = run(capsys, "dims", "--q", "15", "--k-max", "4")
+    assert (code, out, err) == (2, "", "error: q = 15 is not a prime power\n")
+    code, out, err = run(capsys, "valence", "--q", "9", "--modulus", "1,1,1", "--k", "4")
+    assert (code, out, err) == (2, "", "error: modulus is reducible over F_3\n")
+    assert run(capsys, "valence", "--q", "5", "--modulus", "1,0,1", "--k", "4")[0] == 2
+
+
 def test_level_degree_is_bounded_before_any_coefficients_are_built(capsys):
     # 'T^3000000' would otherwise build three million coefficients first
     code, out, err = run(capsys, "parity", "--q", "5", "--group", "gamma0:T^3000000")

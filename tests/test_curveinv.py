@@ -28,8 +28,8 @@ from drinfeld import (
     parse_poly,
     poly_ext_gcd,
     poly_sqrt,
-    primitive_vectors,
 )
+from drinfeld.curveinv import primitive_vectors
 from conftest import get_field
 
 
@@ -199,6 +199,66 @@ def test_cusps_match_the_closure_under_an_inverse_closed_generating_set(q, text)
     assert cusps(G, F) == _reference_cusps(G, F)
 
 
+def _monic_polys(field, degree):
+    top = PolyA.one(field)
+    for _ in range(degree):
+        top = top * PolyA.T(field)
+    if degree == 0:
+        return [top]
+    return [f + top for f in _reference_polys(field, degree - 1)]
+
+
+def _unit_count(g):
+    """|(A/g)^x| for nonconstant g, by counting the residues prime to g."""
+    one = PolyA.one(g.field)
+    return sum(r.gcd(g) == one for r in _reference_polys(g.field, g.degree - 1))
+
+
+def _gekeler_gamma0_cusp_count(N):
+    """Gekeler's cusp count for Gamma_0(N) (Drinfeld Modular Curves, LNM 1231).
+
+    The sum over monic D | N of |(A/gcd(D, N/D))^x| / (q - 1), with a term
+    of 1 when the gcd is 1.
+    """
+    field = N.field
+    count = 0
+    for degree in range(N.degree + 1):
+        for D in _monic_polys(field, degree):
+            cofactor, rem = divmod(N, D)
+            if rem:
+                continue
+            g = D.gcd(cofactor)
+            count += 1 if g.is_constant() else _unit_count(g) // (field.q - 1)
+    return count
+
+
+@pytest.mark.parametrize(
+    "q, modulus", [(3, None), (5, None), (7, None), (9, (1, 0, 1)), (9, (2, 1, 1))]
+)
+def test_gamma0_cusp_count_matches_gekeler(q, modulus):
+    F = get_field(q) if modulus is None else Fq(q, modulus=modulus)
+    levels = _monic_polys(F, 1) + _monic_polys(F, 2)
+    assert len(levels) == q + q * q
+    counts = {str(N): cusps(GroupSpec("gamma0", N), F).count for N in levels}
+    assert counts == {str(N): _gekeler_gamma0_cusp_count(N) for N in levels}
+
+
+@pytest.mark.parametrize(
+    "q, modulus", [(3, None), (5, None), (7, None), (9, (1, 0, 1)), (9, (2, 1, 1))]
+)
+def test_gamma1_level_T_has_two_cusps(q, modulus):
+    """Mod T, Gamma_1(T) and the scalars act on (u, v) != 0 in F_q^2 as
+    (u, v) -> (s(u + b v), s d v) with s, d in F_q^x and b in F_q.
+
+    So the vectors with v != 0 form one orbit of size q(q - 1), and those
+    with v = 0 the other, of size q - 1.
+    """
+    F = get_field(q) if modulus is None else Fq(q, modulus=modulus)
+    cs = cusps(GroupSpec("gamma1", PolyA.T(F)), F)
+    assert cs.count == 2
+    assert sorted(cs.sizes) == [q - 1, q * (q - 1)]
+
+
 # ------------------------------------------------------- elliptic search
 
 
@@ -350,20 +410,6 @@ def test_full_group_is_classified_non_square(q):
 
 
 @pytest.mark.parametrize("q", [3, 5, 7])
-def test_parity_classification_matches_the_witness_determinants(q):
-    F = get_field(q)
-    G = GroupSpec("gamma0", PolyA.T(F))
-    ws = elliptic_search(G, 0, F)
-    p = parity(G, 0, F)
-    if not ws:
-        assert p.kind == "NoWitnessFound"
-    elif any(not w.det_is_square for w in ws):
-        assert p.kind == "NonSquare"
-    else:
-        assert p.kind == "Square"
-
-
-@pytest.mark.parametrize("q", [3, 5, 7])
 def test_square_determinant_witnesses_exist_alongside_non_square_ones(q):
     # whenever the search finds witnesses at all, both determinant classes
     # are represented (set-level statement; individual quadratic classes
@@ -374,6 +420,42 @@ def test_square_determinant_witnesses_exist_alongside_non_square_ones(q):
         assert ws
         assert any(w.det_is_square for w in ws)
         assert any(not w.det_is_square for w in ws)
+
+
+def _parity_from_the_full_list(G, deg_bound, F):
+    ws = elliptic_search(G, deg_bound, F)
+    non_square = [w for w in ws if not w.det_is_square]
+    if non_square:
+        return Parity("NonSquare", deg_bound, non_square[0])
+    return Parity("Square" if ws else "NoWitnessFound", deg_bound)
+
+
+@pytest.mark.parametrize("q, modulus, deg_bound", _SEARCH_CASES + [(7, None, 0)])
+@pytest.mark.parametrize("family", ["full", "gamma0:T", "gamma1:T", "gamma1:T+1"])
+@pytest.mark.parametrize("suffix", ["", "!sq", "!one"])
+def test_parity_is_the_first_non_square_witness_of_the_full_list(
+    q, modulus, deg_bound, family, suffix
+):
+    # parity stops at the first a-block that decides; the full list decides
+    # the same way
+    F = get_field(q) if modulus is None else Fq(q, modulus=modulus)
+    G = parse_group(family + suffix, F)
+    assert parity(G, deg_bound, F) == _parity_from_the_full_list(G, deg_bound, F)
+
+
+def test_parity_checks_its_arguments_before_any_work():
+    F = get_field(7)
+    t = PolyA.T(F)
+    with pytest.raises(ValueError, match="deg_bound must be non-negative"):
+        parity(GroupSpec("full", None), -1, F)
+    with pytest.raises(ValueError, match="identity-congruence"):
+        parity(GroupSpec("gammaN", t), 0, F)
+    with pytest.raises(ValueError, match="linear level"):
+        parity(GroupSpec("gamma0", t * t), 0, F)
+    with pytest.raises(WorkBoundError, match="ELLIPTIC_BOX_LIMIT"):
+        parity(GroupSpec("full", None), 2, F)
+    with pytest.raises(ValueError, match="does not divide"):
+        parity(GroupSpec("full", None, 4), 0, F)
 
 
 def test_parity_records_validate_their_shape():
