@@ -5,11 +5,16 @@ Exit codes: 0 success (including an undecided parity search), 2 parse or
 validation errors, 3 work-bound exhaustion, 4 support violations in series
 input.  JSON payloads carry a fixed "schema": "drinfeld/1" key; the table
 format prints the same data for humans.
+
+`main` builds the argument parser on its first call and reuses it for every
+later call in the process; importing the module builds nothing.  The
+subcommand functions look up the library names at call time.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 
@@ -390,10 +395,15 @@ def build_parser():
     return parser
 
 
+@functools.cache
+def _parser():
+    """The parser of `main`, built once per process on first use."""
+    return build_parser()
+
+
 def main(argv=None):
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
     except SystemExit as e:
         return int(e.code or 0)
     try:

@@ -12,9 +12,11 @@ Three computations give invariants of a congruence subgroup:
   * elliptic witnesses: exhaustive search of a family-shaped parameter box
     for non-scalar members whose fixed-point quadratic
     z^2 + ((d-a)/c) z - b/c is irreducible over K (equivalently, whose
-    discriminant ((a+d)^2 - 4 det)/c^2 is not a square in K); the box is
-    walked over (a, c, d) and b is solved from each allowed determinant,
-    and each witness is recorded with its determinant;
+    discriminant ((a+d)^2 - 4 det)/c^2 is not a square in K); each pair
+    (trace, determinant) is decided once per request, the box is walked
+    over (a, d), and the candidates (b, c) are read from a per-request
+    table of the products bc, so no candidate is divided; each witness is
+    recorded with its determinant;
   * parity: square / non-square classification of the group from the
     witness determinants, which fixes the stabilizer index [G_e : (G_2)_e];
     it reads the search one value of a at a time and stops at the first
@@ -41,7 +43,6 @@ from .ffarith import (
     _poly,
     is_square_fq,
     poly_ext_gcd,
-    poly_sqrt,
 )
 
 ELLIPTIC_BOX_LIMIT = 500_000
@@ -298,16 +299,18 @@ def elliptic_search(G, deg_bound, field=None):
     Box shapes (parameters range over all polynomials of degree <=
     deg_bound): full (a, b; c, d); gamma1 (aN+1, b; cN, d); gamma0
     (a1*N+a0, b; cN, d) with linear level N, where a1*N + a0 runs over
-    every polynomial of degree <= deg_bound + 1.  The box is walked over
-    (a, c, d) with c nonzero, and b is solved from the determinant: for
-    each allowed determinant delta, b = (ad - delta)/c is kept when the
-    division is exact and deg b <= deg_bound.  The box lies in G by
+    every polynomial of degree <= deg_bound + 1.  The box lies in G by
     construction (N divides c, a = 1 mod N for gamma1, and the determinant
-    is an allowed delta), so no membership test is run.  A candidate is kept
-    as a witness when its fixed-point discriminant ((a+d)^2 - 4*delta)/c^2
-    is nonzero and not a square in K, that is, when (a+d)^2 - 4*delta is
-    not a square in A.  Output is sorted lexicographically on matrix entries:
-    a is walked in sort-key order and each a-block is sorted on its own.
+    is an allowed delta), so no membership test is run.  A member with
+    c != 0 is a witness when its fixed-point discriminant
+    ((a+d)^2 - 4*delta)/c^2 is nonzero and not a square in K, that is, when
+    tr^2 - 4*delta is nonzero and not a square in A; that depends only on
+    the pair (tr, delta) = (a + d, ad - bc), and each pair is decided once.
+    The walk runs over (a, d) and reads the candidates (b, c) from a table
+    of products, so no candidate needs a polynomial division (see
+    `_witness_blocks`).  Output is sorted lexicographically on matrix
+    entries: a is walked in sort-key order and each a-block is sorted on
+    its own.
     """
     return [w for block in _witness_blocks(G, deg_bound, field) for w in block]
 
@@ -316,7 +319,20 @@ def _witness_blocks(G, deg_bound, field):
     """The witnesses of `elliptic_search`, one sorted list per a, in order.
 
     The arguments are checked, and a box over ELLIPTIC_BOX_LIMIT refused,
-    before the iterator is returned; each block is searched when it is read.
+    before any table is built.  Two tables are then built for the request:
+      * the allowed determinant codes of each trace.  A nonconstant trace
+        allows every delta: tr^2 - 4*delta = s^2 would factor the unit
+        4*delta as (tr - s)(tr + s), so both factors, and with them tr,
+        would be constants.  A constant trace t allows delta when
+        t^2 - 4*delta is a nonzero non-square of F_q; `rows` holds these
+        sets, keyed on the coefficients of t;
+      * `products` maps the coefficients of degree >= 1 of b*c, for every
+        b of degree <= deg_bound and every c of the box, to the list of
+        (constant term of b*c, b, c).
+    As ad - bc = delta is a constant, ad and bc agree in degree >= 1: the
+    candidates for a given (a, d) are one lookup on the degree >= 1 part of
+    ad, and delta = (ad)_0 - (bc)_0.  Each block is searched when it is
+    read.
     """
     if deg_bound < 0:
         raise ValueError("deg_bound must be non-negative, got %d" % deg_bound)
@@ -333,6 +349,13 @@ def _witness_blocks(G, deg_bound, field):
             "elliptic search box too large: %d^%d candidates exceed"
             " ELLIPTIC_BOX_LIMIT = %d" % (field.q, exponent, ELLIPTIC_BOX_LIMIT)
         )
+    dets = frozenset(x.code for x in G.det_values(field))
+    sub, mul, log = field.sub, field.mul, field.log
+    four = field.elem(4).code
+    rows = {}
+    for t in range(field.q):
+        discs = ((x, sub(mul(t, t), mul(four, x))) for x in dets)
+        rows[(t,) if t else ()] = {x for x, y in discs if y and log[y] % 2}
     polys = _polys_up_to(field, deg_bound)
     N = G.level
     if G.family == "full":
@@ -343,23 +366,32 @@ def _witness_blocks(G, deg_bound, field):
             a_vals = [a * N + 1 for a in polys]
         else:
             a_vals = _polys_up_to(field, deg_bound + 1)
-    dets = [PolyA.const(field, x) for x in G.det_values(field)]
+    products = {}
+    for c in c_vals:
+        for b in polys:
+            bc = (b * c).coeffs or (0,)
+            products.setdefault(bc[1:], []).append((bc[0], b, c))
     a_vals = sorted(a_vals, key=PolyA.sort_key)
-    return (_a_block(a, c_vals, polys, dets, deg_bound) for a in a_vals)
+    return (_a_block(a, polys, dets, rows, products) for a in a_vals)
 
 
-def _a_block(a, c_vals, d_vals, dets, deg_bound):
-    """The witnesses with upper-left entry a, sorted on matrix entries."""
+def _a_block(a, d_vals, dets, rows, products):
+    """The witnesses with upper-left entry a, sorted on matrix entries.
+
+    A d is skipped when its trace a + d allows no determinant; otherwise
+    the candidates (b, c) are the `products` entry of the degree >= 1 part
+    of ad, and one is a witness when its determinant (ad)_0 - (bc)_0 is
+    allowed for the trace.
+    """
+    sub = a.field.sub
     block = []
-    for c, d in itertools.product(c_vals, d_vals):
-        ad = a * d
-        tr = a + d
-        for delta in dets:
-            b, r = divmod(ad - delta, c)
-            if r or b.degree > deg_bound:
-                continue
-            disc = tr * tr - delta * 4
-            if disc.is_zero() or poly_sqrt(disc) is not None:
+    for d in d_vals:
+        allowed = rows.get((a + d).coeffs, dets)
+        if not allowed:
+            continue
+        ad = (a * d).coeffs or (0,)
+        for bc0, b, c in products.get(ad[1:], ()):
+            if sub(ad[0], bc0) not in allowed:
                 continue
             gamma = Mat2(a, b, c, d)
             block.append(

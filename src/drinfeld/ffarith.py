@@ -957,7 +957,11 @@ def quad_irreducible_kinf(b, c, prec=DEFAULT_PREC):
 
 
 def poly_sqrt(poly):
-    """The exact square root of a polynomial in A, or None."""
+    """The exact square root of a polynomial in A, or None.
+
+    Not exported: the witness search decides the squares it needs in closed
+    form, and this general test is its independent check.
+    """
     field = poly.field
     if poly.is_zero():
         return PolyA.zero(field)

@@ -3,10 +3,14 @@
 from __future__ import annotations
 
 import json
+import os
+import subprocess
+import sys
 import time
 
 import pytest
 
+import drinfeld
 from drinfeld import Parity
 from drinfeld.cli import SECTIONRING_WEIGHT_MAX, main
 
@@ -493,3 +497,37 @@ def test_sectionring_presets_need_no_witness_search_at_large_q(capsys):
     )
     assert code == 0
     assert out.splitlines()[0] == "divisor: 13/14(1) + -12/13(inf)"
+
+
+# ---------------------------------------------------------- parser reuse
+
+
+def test_one_process_answers_each_request_as_a_fresh_interpreter(capsys):
+    # main builds its parser once and reuses it: an argparse error, a
+    # bound given and then left to its default, and other subcommands in
+    # turn must each print and exit as they do in a process of their own
+    requests = [
+        ["parity", "--q", "3", "--group", "full", "--deg-bound", "x"],
+        ["parity", "--q", "3", "--group", "gamma1:T+1", "--deg-bound", "1",
+         "--format", "json"],
+        ["parity", "--q", "3", "--group", "gamma1:T+1", "--format", "json"],
+        ["cusps", "--q", "5", "--group", "gamma0:T"],
+        ["dims", "--q", "3", "--k-max", "6"],
+        ["split", "--q", "5", "--k", "4", "u^2+3*u^4"],
+    ]
+    in_process = []
+    for argv in requests:
+        code = main(list(argv))
+        in_process.append((code, capsys.readouterr().out))
+    src = os.path.dirname(os.path.dirname(os.path.abspath(drinfeld.__file__)))
+    env = dict(os.environ, PYTHONPATH=src)
+    fresh = []
+    for argv in requests:
+        proc = subprocess.run(
+            [sys.executable, "-m", "drinfeld.cli", *argv],
+            env=env, stdout=subprocess.PIPE, stderr=subprocess.DEVNULL, text=True,
+        )
+        fresh.append((proc.returncode, proc.stdout))
+    assert [code for code, _ in in_process] == [2, 0, 0, 0, 0, 0]
+    assert json.loads(in_process[2][1])["deg_bound"] == 0
+    assert in_process == fresh

@@ -27,9 +27,9 @@ from drinfeld import (
     parse_group,
     parse_poly,
     poly_ext_gcd,
-    poly_sqrt,
 )
 from drinfeld.curveinv import primitive_vectors
+from drinfeld.ffarith import poly_sqrt
 from conftest import get_field
 
 
@@ -282,10 +282,41 @@ def test_witness_search_finds_the_quadratic_with_locally_square_discriminant():
     assert is_square_kinf(laurent_expand(disc))
 
 
-def test_witness_count_for_gamma0_level_T_q3():
-    F = get_field(3)
-    ws = elliptic_search(GroupSpec("gamma0", PolyA.T(F)), 0, F)
-    assert len(ws) == 16
+@pytest.mark.parametrize(
+    "q, modulus",
+    [(3, None), (5, None), (7, None), (11, None), (9, (1, 0, 1)), (9, (2, 1, 1))],
+)
+@pytest.mark.parametrize("level", ["T", "T+1", "2*T+1"])
+@pytest.mark.parametrize("suffix", ["", "!sq", "!one"])
+@pytest.mark.parametrize("family", ["gamma1", "gamma0"])
+def test_witness_count_at_degree_bound_zero_for_a_linear_level(
+    q, modulus, level, suffix, family
+):
+    """At deg-bound 0 with linear level N, gamma1 has (q-1)^2 |dets|
+    witnesses and gamma0 has (q-1)^3 |dets|.
+
+    Entries written with a prime are constants.  gamma1: the box is
+    (a'N + 1, b; c'N, d), and ad - bc = N(a'd - bc') + d.  For this to be a
+    constant delta, a'd = bc' and d = delta, so d = delta and
+    b = a'delta/c'.  The trace is a'N + 1 + delta.  If a' != 0 it is linear,
+    and X^2 - 4 delta with X linear is never a square in A (X^2 - S^2 =
+    4 delta would make X - S and X + S units, so X constant); it is never
+    zero either, having degree 2.  If a' = 0 the discriminant is
+    (1 + delta)^2 - 4 delta = (1 - delta)^2, a square or zero.  So the
+    witnesses are delta in dets, c' != 0 and a' != 0: (q-1)^2 |dets|.
+
+    gamma0: the box is (a1 N + a0, b; c'N, d), and ad - bc =
+    N(a1 d - bc') + a0 d.  So a0 d = delta, which fixes a0 for each d != 0,
+    and b = a1 d/c'.  The trace is a1 N + a0 + d: if a1 != 0 the candidate
+    is a witness as above, and if a1 = 0 the discriminant is
+    (a0 + d)^2 - 4 a0 d = (a0 - d)^2.  So the witnesses are delta in dets,
+    d != 0, c' != 0 and a1 != 0: (q-1)^3 |dets|.
+    """
+    F = get_field(q) if modulus is None else Fq(q, modulus=modulus)
+    G = parse_group("%s:%s%s" % (family, level, suffix), F)
+    dets = {"": q - 1, "!sq": (q - 1) // 2, "!one": 1}[suffix]
+    free = {"gamma1": 2, "gamma0": 3}[family]
+    assert len(elliptic_search(G, 0, F)) == (q - 1) ** free * dets
 
 
 @pytest.mark.parametrize(

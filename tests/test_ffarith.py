@@ -19,10 +19,10 @@ from drinfeld import (
     laurent_expand,
     parse_poly,
     poly_ext_gcd,
-    poly_sqrt,
     quad_irreducible_kinf,
     sqrt_fq,
 )
+from drinfeld.ffarith import poly_sqrt
 from conftest import SEED, get_field
 
 
