@@ -42,12 +42,6 @@ class Mat2:
         self.det = det.constant_value()
 
     @classmethod
-    def identity(cls, field):
-        one = PolyA.one(field)
-        zero = PolyA.zero(field)
-        return cls(one, zero, zero, one)
-
-    @classmethod
     def diagonal(cls, field, alpha, delta):
         zero = PolyA.zero(field)
         return cls(PolyA.const(field, alpha), zero, zero, PolyA.const(field, delta))
@@ -89,6 +83,14 @@ class Mat2:
 
     def __repr__(self):
         return "(%s, %s; %s, %s)" % (self.a, self.b, self.c, self.d)
+
+
+def _mat2(a, b, c, d, det):
+    """The Mat2 with entries a, b, c, d whose determinant is known to be the
+    FqElem det; nothing is checked or recomputed."""
+    m = object.__new__(Mat2)
+    m.a, m.b, m.c, m.d, m.det = a, b, c, d, det
+    return m
 
 
 @dataclass(frozen=True)
@@ -225,7 +227,8 @@ def parse_group(text, field, level_text=None):
 
     Grammar: `full`, `gamma0:<poly>`, `gamma1:<poly>`, `gammaN:<poly>`,
     optionally followed by `!sq`, `!one`, or `!idx<m>`.  A separate level
-    string may be supplied instead of the embedded `:<poly>` form.
+    string may be supplied instead of the embedded `:<poly>` form; giving
+    both is an error.
     """
     src = text.strip()
     det_index = DET_ALL
@@ -243,6 +246,10 @@ def parse_group(text, field, level_text=None):
         else:
             raise ParseError("unknown determinant suffix %r" % suffix, len(src))
     if ":" in src:
+        if level_text:
+            raise ParseError(
+                "the level is given twice: in the group and separately", src.index(":")
+            )
         fam, _, poly_text = src.partition(":")
         level = parse_poly(poly_text, field)
     else:

@@ -15,12 +15,13 @@ Three computations give invariants of a congruence subgroup:
     discriminant ((a+d)^2 - 4 det)/c^2 is not a square in K); each pair
     (trace, determinant) is decided once per request, the box is walked
     over (a, d), and the candidates (b, c) are read from a per-request
-    table of the products bc, so no candidate is divided; each witness is
-    recorded with its determinant;
+    table of the products bc, so no candidate is divided; a witness record
+    takes its determinant from the code the walk read, and its quadratic
+    is put in lowest terms with no Euclid when c has degree <= 1;
   * parity: square / non-square classification of the group from the
     witness determinants, which fixes the stabilizer index [G_e : (G_2)_e];
-    it reads the search one value of a at a time and stops at the first
-    block that decides.
+    it reads the search up to the first non-empty block of one value of a,
+    which is proved to decide.
 
 The two preset curves, the full-group square-determinant curve and the
 Gamma_0(T) square-determinant curve, are published data: genus and the
@@ -34,14 +35,13 @@ import itertools
 import operator
 from dataclasses import dataclass
 
-from .congruence import GroupSpec, Mat2
+from .congruence import GroupSpec, Mat2, _mat2
 from .ffarith import (
     FqElem,
     PolyA,
     RatK,
     WorkBoundError,
     _poly,
-    is_square_fq,
     poly_ext_gcd,
 )
 
@@ -78,9 +78,6 @@ class EllipticWitness:
     quad_c: RatK
     det: FqElem
     det_is_square: bool
-
-    def disc(self):
-        return self.quad_b * self.quad_b - self.quad_c * 4
 
 
 @dataclass(frozen=True)
@@ -331,8 +328,8 @@ def _witness_blocks(G, deg_bound, field):
         (constant term of b*c, b, c).
     As ad - bc = delta is a constant, ad and bc agree in degree >= 1: the
     candidates for a given (a, d) are one lookup on the degree >= 1 part of
-    ad, and delta = (ad)_0 - (bc)_0.  Each block is searched when it is
-    read.
+    ad, and delta = (ad)_0 - (bc)_0, which is then the determinant of the
+    witness.  Each block is searched when it is read.
     """
     if deg_bound < 0:
         raise ValueError("deg_bound must be non-negative, got %d" % deg_bound)
@@ -380,27 +377,31 @@ def _a_block(a, d_vals, dets, rows, products):
 
     A d is skipped when its trace a + d allows no determinant; otherwise
     the candidates (b, c) are the `products` entry of the degree >= 1 part
-    of ad, and one is a witness when its determinant (ad)_0 - (bc)_0 is
-    allowed for the trace.
+    of ad, and one is a witness when its determinant code
+    delta = (ad)_0 - (bc)_0 is allowed for the trace.  The box is
+    unit-determinant by construction, so gamma takes delta unchecked.
     """
-    sub = a.field.sub
+    field = a.field
+    sub, log = field.sub, field.log
     block = []
     for d in d_vals:
         allowed = rows.get((a + d).coeffs, dets)
         if not allowed:
             continue
         ad = (a * d).coeffs or (0,)
+        d_minus_a = d - a
         for bc0, b, c in products.get(ad[1:], ()):
-            if sub(ad[0], bc0) not in allowed:
+            delta = sub(ad[0], bc0)
+            if delta not in allowed:
                 continue
-            gamma = Mat2(a, b, c, d)
+            det = FqElem(field, delta)
             block.append(
                 EllipticWitness(
-                    gamma=gamma,
-                    quad_b=RatK(d - a, c),
+                    gamma=_mat2(a, b, c, d, det),
+                    quad_b=RatK(d_minus_a, c),
                     quad_c=RatK(-b, c),
-                    det=gamma.det,
-                    det_is_square=is_square_fq(gamma.det),
+                    det=det,
+                    det_is_square=log[delta] % 2 == 0,
                 )
             )
     block.sort(key=lambda w: w.gamma.sort_key())
@@ -410,22 +411,34 @@ def _a_block(a, d_vals, dets, rows, products):
 def parity(G, deg_bound, field=None):
     """Square / non-square classification from the witness determinants.
 
-    The a-blocks of `elliptic_search` are read in order until one decides:
-    the first non-square-determinant witness in sort order gives NonSquare,
-    and when no allowed determinant is a non-square the first witness
-    gives Square.
+    The a-blocks of `elliptic_search` are read up to the first non-empty
+    one: its first non-square-determinant witness gives NonSquare, and
+    without one the result is Square.  That block decides, as it holds a
+    witness of every allowed non-square delta.  Proof: a box element with
+    c != 0 is a witness when tr^2 - 4*delta is a nonzero non-square in A,
+    as it is for every nonconstant trace (see `_witness_blocks`).
+      * full: a = 0 comes first; there b, c are constants with bc = -delta
+        and d = tr is free.  As 4*delta is a non-square, the character sum
+        sum_t chi(t^2 - 4*delta) = -1 (t^2 - s^2 = D != 0 has q - 1
+        solutions) has no zero term, so (q+1)/2 constants t make
+        (0, -delta/c, c, t) a witness.
+      * gamma1: (a'N + 1, delta, a'N, delta) is a witness for a' != 0.  At
+        a = 1, d = delta + bc'N: at deg-bound 0 that forces b = 0 and the
+        discriminant (1 - delta)^2, so the block is empty; above it,
+        (1, 1, N, delta + N) is a witness.
+      * gamma0: N | a empties the block, as N then divides ad - bc.  Else
+        d = delta/a(r), r the root of N, gives ad - delta = mN, and a
+        nonconstant a makes (a, m, N, d) a witness, as deg m < deg a.  A
+        constant a forces b = 0 and the discriminant (a - d)^2 at
+        deg-bound 0, and gives the witness (a, a, N, delta/a + N) above.
     """
-    blocks = _witness_blocks(G, deg_bound, field)
-    only_squares = all(map(is_square_fq, G.det_values(G.field_for(field))))
-    found = False
-    for block in blocks:
-        for w in block:
-            if not w.det_is_square:
-                return Parity("NonSquare", deg_bound, w)
-        found = found or bool(block)
-        if found and only_squares:
-            break
-    return Parity("Square" if found else "NoWitnessFound", deg_bound)
+    for block in _witness_blocks(G, deg_bound, field):
+        if block:
+            w = next((w for w in block if not w.det_is_square), None)
+            if w is None:
+                return Parity("Square", deg_bound)
+            return Parity("NonSquare", deg_bound, w)
+    return Parity("NoWitnessFound", deg_bound)
 
 
 def assemble_invariants(preset, field):

@@ -12,8 +12,8 @@ elements of K are kept in lowest terms with monic denominator, and elements
 of K_inf carry a finite window of Laurent coefficients in the uniformizer
 1/T; series support only products and square roots.  `FqElem` wraps one
 code for the public interface.  Squareness is decided in F_q (parity of the
-discrete log), in A (`poly_sqrt`) and in K_inf (valuation and leading
-coefficient), the last without expanding an element of K.
+discrete log) and in K_inf (valuation and leading coefficient), the latter
+without expanding an element of K.
 
 Valuation convention: v(T) = -1, so v(a) = -deg(a) for nonzero a in A and
 |f| = q^(-v(f)).  The zero series is a distinguished value with an empty
@@ -88,10 +88,10 @@ class Fq:
 
     For e > 1 the coordinates are taken in the basis 1, a, ..., a^(e-1)
     where a is a root of the (monic, irreducible) modulus, and the code of
-    an element is its index in `elements()`.  The generator is the first
-    element of order q-1 in that enumeration; nonzero elements print as
-    powers of it.  `add`, `sub`, `neg`, `mul` and `inv` act on codes through
-    the exp/log and Zech tables.
+    an element is the int whose base-p digits are its coordinates.  The
+    generator is the element of order q-1 with the least code; nonzero
+    elements print as powers of it.  `add`, `sub`, `neg`, `mul` and `inv`
+    act on codes through the exp/log and Zech tables.
     """
 
     def __init__(self, q, modulus=None):
@@ -182,13 +182,6 @@ class Fq:
         if len(coords) != self.e:
             raise ValueError("expected %d coordinates" % self.e)
         return FqElem(self, sum(c * self.p**i for i, c in enumerate(coords)))
-
-    def elements(self):
-        """All q elements, prime-field digits in ascending order."""
-        return (FqElem(self, x) for x in range(self.q))
-
-    def nonzero_elements(self):
-        return (FqElem(self, x) for x in range(1, self.q))
 
     def format_elem(self, x):
         return self.format_code(x.code)
@@ -342,6 +335,12 @@ def _poly(field, coeffs):
     return f
 
 
+def _scaled(f, x):
+    """f times the nonzero code x."""
+    mul = f.field.mul
+    return _poly(f.field, [mul(x, c) for c in f.coeffs])
+
+
 class PolyA:
     """A polynomial in A = F_q[T]; coefficient codes lowest degree first.
 
@@ -487,9 +486,9 @@ class PolyA:
         return divmod(self, other)[0]
 
     def monic(self):
-        if self.is_zero():
+        if not self.coeffs or self.coeffs[-1] == 1:
             return self
-        return self * self.leading_coeff().inverse()
+        return _scaled(self, self.field.inv(self.coeffs[-1]))
 
     def gcd(self, other):
         """Monic greatest common divisor."""
@@ -519,24 +518,42 @@ class PolyA:
 
 
 class RatK:
-    """An element of K = F_q(T) in lowest terms with monic denominator."""
+    """An element of K = F_q(T) in lowest terms with monic denominator.
+
+    A denominator of degree 1, l*(T - r), shares a factor with the
+    numerator iff the numerator vanishes at r; Horner's rule at r gives
+    that value and the quotient by T - r, so only a denominator of degree
+    >= 2 runs Euclid.
+    """
 
     __slots__ = ("num", "den")
 
     def __init__(self, num, den=None):
+        field = num.field
         if den is None:
-            den = PolyA.one(num.field)
-        if den.is_zero():
+            den = PolyA.one(field)
+        deg = den.degree
+        if deg < 0:
             raise ZeroDivisionError("zero denominator")
-        if den.degree > 0:  # a constant denominator is a unit: gcd 1
+        if deg == 1:
+            l0, l1 = den.coeffs
+            add, mul = field.add, field.mul
+            r = field.neg(mul(l0, field.inv(l1)))
+            # vals: the quotient by T - r, highest degree first, then num(r)
+            vals = list(
+                itertools.accumulate(reversed(num.coeffs), lambda y, c: add(mul(y, r), c))
+            )
+            if not (vals and vals[-1]):
+                num, den = _poly(field, vals[-2::-1]), _poly(field, [l1])
+        elif deg > 1:
             g = num.gcd(den)
             if g.degree > 0:
                 num = num // g
                 den = den // g
-        if not den.is_monic():
-            c = den.leading_coeff().inverse()
-            num = num * c
-            den = den * c
+        lead = den.coeffs[-1]
+        if lead != 1:
+            x = field.inv(lead)
+            num, den = _scaled(num, x), _scaled(den, x)
         self.num = num
         self.den = den
 
@@ -880,21 +897,16 @@ def is_square_fq(x):
     return x.field.log[x.code] % 2 == 0
 
 
-def _sqrt_code(field, x):
-    """The square root of the code x that comes first in `elements()`, or None."""
-    if not x:
-        return 0
-    k = field.log[x]
+def sqrt_fq(x):
+    """A square root of x in F_q (the one with the lesser code), or None."""
+    field = x.field
+    if not x.code:
+        return x
+    k = field.log[x.code]
     if k % 2:
         return None
     y = field.exp[k // 2]
-    return min(y, field.neg(y))
-
-
-def sqrt_fq(x):
-    """A square root of x in F_q (the first in element order), or None."""
-    y = _sqrt_code(x.field, x.code)
-    return None if y is None else FqElem(x.field, y)
+    return FqElem(field, min(y, field.neg(y)))
 
 
 def laurent_expand(x, prec=DEFAULT_PREC):
@@ -956,37 +968,6 @@ def quad_irreducible_kinf(b, c, prec=DEFAULT_PREC):
     return disc.valuation() % 2 != 0 or not is_square_fq(disc.num.leading_coeff())
 
 
-def poly_sqrt(poly):
-    """The exact square root of a polynomial in A, or None.
-
-    Not exported: the witness search decides the squares it needs in closed
-    form, and this general test is its independent check.
-    """
-    field = poly.field
-    if poly.is_zero():
-        return PolyA.zero(field)
-    deg = poly.degree
-    if deg % 2 != 0:
-        return None
-    top = _sqrt_code(field, poly.coeffs[-1])
-    if top is None:
-        return None
-    sub, mul = field.sub, field.mul
-    half = deg // 2
-    r = [0] * (half + 1)
-    r[half] = top
-    inv = field.inv(field.add(top, top))
-    for j in range(half - 1, -1, -1):
-        acc = poly.coeffs[half + j]
-        for i in range(j + 1, half):
-            acc = sub(acc, mul(r[i], r[half + j - i]))
-        r[j] = mul(acc, inv)
-    cand = _poly(field, r)
-    if cand * cand == poly:
-        return cand
-    return None
-
-
 def poly_ext_gcd(a, b):
     """Extended gcd in A: returns (g, s, t) with g monic and s*a + t*b = g."""
     field = a.field
@@ -1000,5 +981,5 @@ def poly_ext_gcd(a, b):
         t0, t1 = t1, t0 - quo * t1
     if r0.is_zero():
         return r0, s0, t0
-    lc = r0.leading_coeff().inverse()
-    return r0 * lc, s0 * lc, t0 * lc
+    x = field.inv(r0.coeffs[-1])
+    return _scaled(r0, x), _scaled(s0, x), _scaled(t0, x)

@@ -143,10 +143,6 @@ class SectionBasis:
     c: int
     exps: tuple
 
-    @property
-    def size(self):
-        return len(self.exps)
-
     def label(self, m):
         parts = []
         if m - self.a:

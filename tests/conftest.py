@@ -12,7 +12,7 @@ import random
 
 import pytest
 
-from drinfeld import Fq, FqElem, Mat2, PolyA
+from drinfeld import Fq, FqElem, Mat2, PolyA, sqrt_fq
 
 SEED = 20250814
 
@@ -47,6 +47,36 @@ def _code_mul(f, g, field):
 
 def is_square_mod(x, p):
     return pow(x, (p - 1) // 2, p) == 1
+
+
+def poly_sqrt(poly):
+    """The exact square root of a polynomial in A, or None.
+
+    The tests' general square test in A: the witness search decides the
+    squares it needs in closed form, and this is its independent check.
+    The root is matched coefficient by coefficient from the top.
+    """
+    field = poly.field
+    if poly.is_zero():
+        return poly
+    deg = poly.degree
+    if deg % 2 != 0:
+        return None
+    top = sqrt_fq(poly.leading_coeff())
+    if top is None:
+        return None
+    sub, mul = field.sub, field.mul
+    half = deg // 2
+    r = [0] * (half + 1)
+    r[half] = top.code
+    inv = field.inv(field.add(top.code, top.code))
+    for j in range(half - 1, -1, -1):
+        acc = poly.coeffs[half + j]
+        for i in range(j + 1, half):
+            acc = sub(acc, mul(r[i], r[half + j - i]))
+        r[j] = mul(acc, inv)
+    cand = PolyA(field, [FqElem(field, x) for x in r])
+    return cand if cand * cand == poly else None
 
 
 def sample_unit_matrices(rng, field, count, deg=2, det_pred=None, c_times_t=False):

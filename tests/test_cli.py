@@ -90,6 +90,24 @@ def test_negative_degree_bound_exits_2(capsys, command, bound):
     assert "got %s" % bound in err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("parity", "--q", "5", "--group", "gamma0:T+1", "--level", "T"),
+        ("cusps", "--q", "5", "--group", "gamma0:T^2", "--level", "T"),
+    ],
+)
+def test_a_level_given_twice_exits_2(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert "the level is given twice" in err
+    # the level given once, either way, answers the same
+    embedded = run(capsys, argv[0], "--q", "5", "--group", "gamma0:T")
+    separate = run(capsys, argv[0], "--q", "5", "--group", "gamma0", "--level", "T")
+    assert embedded == separate
+    assert embedded[0] == 0
+
+
 # ------------------------------------------------------------------- dims
 
 

@@ -10,6 +10,7 @@ from drinfeld import (
     CuspSet,
     EllipticWitness,
     Fq,
+    FqElem,
     GroupSpec,
     Mat2,
     Parity,
@@ -29,8 +30,7 @@ from drinfeld import (
     poly_ext_gcd,
 )
 from drinfeld.curveinv import primitive_vectors
-from drinfeld.ffarith import poly_sqrt
-from conftest import get_field
+from conftest import get_field, poly_sqrt
 
 
 def T_of(q):
@@ -123,7 +123,7 @@ def test_cusps_enforce_the_level_degree_bound():
 
 
 def _reference_polys(field, deg_bound):
-    elems = field.elements()
+    elems = [FqElem(field, x) for x in range(field.q)]
     return [PolyA(field, list(c)) for c in itertools.product(elems, repeat=deg_bound + 1)]
 
 
@@ -135,7 +135,7 @@ def _reference_generators(G, N):
     zero, one = PolyA.zero(field), PolyA.one(field)
     res = _reference_polys(field, N.degree - 1)
     nonzero = [r for r in res if not r.is_zero()]
-    scalars = [PolyA.const(field, x) for x in field.nonzero_elements()]
+    scalars = [PolyA.const(field, FqElem(field, x)) for x in range(1, field.q)]
     gens = [(x, zero, zero, x) for x in scalars]
     if G.family == "gammaN":
         return gens
@@ -276,7 +276,7 @@ def test_witness_search_finds_the_quadratic_with_locally_square_discriminant():
     dets = {F.format_elem(w.det) for w in hits}
     assert "3" in dets
     w = hits[0]
-    disc = w.disc()
+    disc = w.quad_b * w.quad_b - w.quad_c * 4
     assert disc == RatK(parse_poly("4*T^2+4", F), parse_poly("T^2+5*T+1", F))
     assert poly_sqrt(disc.num * disc.den) is None
     assert is_square_kinf(laurent_expand(disc))
@@ -341,7 +341,7 @@ def test_witnesses_satisfy_their_defining_invariants(q, modulus, descriptor):
         assert not w.gamma.c.is_zero()
         assert w.quad_b == RatK(w.gamma.d - w.gamma.a, w.gamma.c)
         assert w.quad_c == RatK(-w.gamma.b, w.gamma.c)
-        disc = w.disc()
+        disc = w.quad_b * w.quad_b - w.quad_c * 4
         assert not disc.is_zero()
         assert poly_sqrt(disc.num * disc.den) is None
         assert w.det == w.gamma.det
@@ -402,6 +402,32 @@ def test_witness_search_matches_the_four_parameter_box(q, modulus, deg_bound, fa
     F = get_field(q) if modulus is None else Fq(q, modulus=modulus)
     G = parse_group(family + suffix, F)
     assert elliptic_search(G, deg_bound, F) == _reference_search(G, deg_bound, F)
+
+
+@pytest.mark.parametrize("q, modulus, deg_bound", _SEARCH_CASES)
+@pytest.mark.parametrize("family", ["full", "gamma1:T+1", "gamma0:T+1"])
+@pytest.mark.parametrize("suffix", ["", "!sq", "!one"])
+def test_witness_records_match_an_independent_recomputation(
+    q, modulus, deg_bound, family, suffix
+):
+    # each record is built from the walk's codes: the determinant is not
+    # recomputed, and (d-a)/c and -b/c are reduced without Euclid when c has
+    # degree <= 1; at deg-bound 1, c = c'N of degree 2 takes the Euclid path
+    F = get_field(q) if modulus is None else Fq(q, modulus=modulus)
+    G = parse_group(family + suffix, F)
+    one = PolyA.one(F)
+    ws = elliptic_search(G, deg_bound, F)
+    assert ws
+    for w in ws:
+        a, b, c, d = w.gamma.entries()
+        assert Mat2(a, b, c, d).det == w.det == w.gamma.det
+        assert w.det_is_square == is_square_fq(w.det)
+        for x, num in ((w.quad_b, d - a), (w.quad_c, -b)):
+            assert x.num * c == num * x.den
+            assert x.den.is_monic()
+            assert x.num.gcd(x.den) == one
+    den_degrees = {x.den.degree for w in ws for x in (w.quad_b, w.quad_c)}
+    assert max(den_degrees) == (deg_bound if family == "full" else deg_bound + 1)
 
 
 @pytest.mark.parametrize("q", [3, 5, 7, 9])

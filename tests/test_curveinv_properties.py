@@ -17,7 +17,7 @@ from hypothesis import strategies as st
 
 from drinfeld import Fq, FqElem, PolyA
 from drinfeld.curveinv import ELLIPTIC_BOX_LIMIT, _Residues
-from drinfeld.ffarith import poly_sqrt
+from conftest import poly_sqrt
 
 FIELDS = [Fq(3), Fq(5), Fq(7), Fq(9, modulus=(1, 0, 1)), Fq(9, modulus=(2, 1, 1)),
           Fq(25), Fq(27)]

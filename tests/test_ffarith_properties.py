@@ -15,6 +15,7 @@ from hypothesis import strategies as st
 
 from drinfeld import (
     Fq,
+    FqElem,
     PolyA,
     PrecisionError,
     RatK,
@@ -142,9 +143,11 @@ def test_parse_inverts_format(F):
 @by_field
 def test_squares_against_exhaustive_squaring(F):
     roots = {}
-    for y in F.elements():
-        roots.setdefault((y * y).code, y)  # first root in element order
-    for x in F.nonzero_elements():
+    for code in range(F.q):
+        y = FqElem(F, code)
+        roots.setdefault((y * y).code, y)  # the root with the lesser code
+    for code in range(1, F.q):
+        x = FqElem(F, code)
         assert is_square_fq(x) == (x.code in roots)
         assert sqrt_fq(x) == roots.get(x.code)
 
@@ -153,7 +156,7 @@ def test_sort_key_orders_coordinates_low_digit_first():
     # For q = 9 the coordinate order is not the code order: code 3 is
     # (0, 1) and sorts before code 1, which is (1, 0).
     F = FIELDS[1]
-    consts = sorted((PolyA(F, [x]) for x in F.elements()), key=PolyA.sort_key)
+    consts = sorted((PolyA(F, [FqElem(F, x)]) for x in range(F.q)), key=PolyA.sort_key)
     assert [f.coeffs for f in consts] == [
         (), (3,), (6,), (1,), (4,), (7,), (2,), (5,), (8,),
     ]
@@ -186,6 +189,21 @@ def test_ratk_canonical_form(F):
         assert RatK(n * c, d * c) == x
 
     check()
+
+    @SEEDED
+    @given(elements(F), elements(F).filter(bool), polys(F, 4), elements(F))
+    def check_linear(r, lead, m, s):
+        # a linear denominator lead*(T - r) divides (T - r)*m + s iff s = 0;
+        # m = 0 = s is the zero numerator
+        t_minus_r = PolyA(F, [-r, F.one])
+        n, d = t_minus_r * m + s, t_minus_r * lead
+        x = RatK(n, d)
+        assert x.den.is_monic()
+        assert x.num.gcd(x.den) == one
+        assert x.num * d == n * x.den
+        assert x.den == (one if s.is_zero() else t_minus_r)
+
+    check_linear()
 
 
 def _expanded_quad_irreducible(b, c, prec):
