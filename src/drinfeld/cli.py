@@ -1,10 +1,14 @@
 """Command-line interface: every computation behind subcommands with table
 and JSON output.
 
-Exit codes: 0 success (including an undecided parity search), 2 parse or
-validation errors, 3 work-bound exhaustion, 4 support violations in series
-input.  JSON payloads carry a fixed "schema": "drinfeld/1" key; the table
-format prints the same data for humans.
+Exit codes: 0 success (including an undecided parity search), 1 standard
+output closed before everything was written (`console_main` only), 2 parse
+or validation errors, 3 work-bound exhaustion, 4 support violations in
+series input.
+
+Each subcommand builds one result dict.  JSON output prints it under a
+fixed head ("schema": "drinfeld/1", "command", "q"); the table format
+prints lines rendered from that same dict, so both show the same data.
 
 `main` builds the argument parser on its first call and reuses it for every
 later call in the process; importing the module builds nothing.  The
@@ -16,6 +20,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import os
 import sys
 
 from .congruence import parse_group
@@ -27,7 +32,7 @@ from .curveinv import (
     parity,
 )
 from .ffarith import Q_MAX, Fq, ParseError, WorkBoundError, check_field, format_poly
-from .qdiv import h0_weighted, log_canonical_divisor, presentation, rr_basis
+from .qdiv import h0_weighted, log_canonical_divisor, presentation
 from .useries import SupportError, parse_useries, split
 from .weights import VanishingProfile, dim_gamma0T, type_solutions, valence_check
 
@@ -50,11 +55,14 @@ def _field(args):
     return Fq(args.q, modulus=_modulus(args))
 
 
-def _emit(args, payload, lines):
+def _emit(args, result, table):
+    """Print one result: as JSON under the common head, or as the lines
+    that `table` renders from the same dict."""
     if args.format == "json":
+        payload = {"schema": SCHEMA, "command": args.command, "q": args.q, **result}
         print(json.dumps(payload, indent=2))
     else:
-        for line in lines:
+        for line in table(result):
             print(line)
     return 0
 
@@ -77,39 +85,39 @@ def _witness_payload(field, w):
     }
 
 
-def _witness_lines(field, w):
-    return [
-        "witness: %r" % (w.gamma,),
-        "det: %s (%s)"
-        % (field.format_elem(w.det), "square" if w.det_is_square else "non-square"),
-        "quadratic: z^2 + (%r)*z + (%r)" % (w.quad_b, w.quad_c),
-    ]
+def _matrix_text(w):
+    (a, b), (c, d) = w["matrix"]
+    return "(%s, %s; %s, %s)" % (a, b, c, d)
+
+
+def _square_text(w):
+    return "square" if w["det_is_square"] else "non-square"
 
 
 def cmd_parity(args):
     field = _field(args)
     G = _group_of(args, field)
     p = parity(G, args.deg_bound, field)
-    if p.kind == "NoWitnessFound":
-        classification = "undecided"
-        shown = "undecided(%d)" % p.bound
-    else:
-        classification = p.kind
-        shown = p.kind
-    payload = {
-        "schema": SCHEMA,
-        "command": "parity",
-        "q": field.q,
+    result = {
         "group": str(G),
         "deg_bound": args.deg_bound,
-        "classification": classification,
+        "classification": "undecided" if p.kind == "NoWitnessFound" else p.kind,
         "bound": p.bound,
         "witness": _witness_payload(field, p.witness) if p.witness else None,
     }
-    lines = ["classification: %s" % shown]
-    if p.witness is not None:
-        lines.extend(_witness_lines(field, p.witness))
-    return _emit(args, payload, lines)
+    return _emit(args, result, _parity_table)
+
+
+def _parity_table(r):
+    shown = r["classification"]
+    if shown == "undecided":
+        shown = "undecided(%d)" % r["bound"]
+    yield "classification: %s" % shown
+    w = r["witness"]
+    if w is not None:
+        yield "witness: %s" % _matrix_text(w)
+        yield "det: %s (%s)" % (w["det"], _square_text(w))
+        yield "quadratic: z^2 + (%s)*z + (%s)" % (w["quad_b"], w["quad_c"])
 
 
 def cmd_dims(args):
@@ -132,35 +140,16 @@ def cmd_dims(args):
             rows.append(
                 {"k": k, "l": l, "dim": dim, "h0": cross, "agree": dim == cross}
             )
-    payload = {
-        "schema": SCHEMA,
-        "command": "dims",
-        "q": q,
-        "preset": args.preset,
-        "k_max": args.k_max,
-        "rows": rows,
-    }
-    lines = ["k  l  dim  h0  agree"]
-    for r in rows:
-        lines.append(
-            "%-2d %-2d %-4d %-3d %s"
-            % (r["k"], r["l"], r["dim"], r["h0"], "yes" if r["agree"] else "NO")
+    result = {"preset": args.preset, "k_max": args.k_max, "rows": rows}
+    return _emit(args, result, _dims_table)
+
+
+def _dims_table(r):
+    yield "k  l  dim  h0  agree"
+    for row in r["rows"]:
+        yield "%-2d %-2d %-4d %-3d %s" % (
+            row["k"], row["l"], row["dim"], row["h0"], "yes" if row["agree"] else "NO"
         )
-    return _emit(args, payload, lines)
-
-
-def _combo_text(combo):
-    parts = []
-    for exps, coeff in combo:
-        factors = []
-        for i, e in enumerate(exps):
-            if e == 1:
-                factors.append("x%d" % i)
-            elif e > 1:
-                factors.append("x%d^%d" % (i, e))
-        mono = "*".join(factors) if factors else "1"
-        parts.append("(%s)*%s" % (coeff, mono))
-    return " + ".join(parts)
 
 
 def cmd_sectionring(args):
@@ -175,13 +164,14 @@ def cmd_sectionring(args):
     inv = assemble_invariants(args.preset, field)
     D = log_canonical_divisor(inv)
     pres = presentation(D, args.max_weight)
-    gens = []
-    for g in pres.generators:
-        basis = rr_basis(g.degree * D)
-        gens.append({"weight": g.weight, "section": basis.label(g.section_index)})
-    rels = []
-    for r in pres.relations:
-        rels.append(
+    result = {
+        "preset": args.preset,
+        "max_weight": args.max_weight,
+        "divisor": repr(D),
+        "generators": [
+            {"weight": g.weight, "section": g.label()} for g in pres.generators
+        ],
+        "relations": [
             {
                 "weight": r.weight,
                 "monomial_combination": [
@@ -189,29 +179,36 @@ def cmd_sectionring(args):
                     for exps, coeff in r.combo
                 ],
             }
-        )
-    payload = {
-        "schema": SCHEMA,
-        "command": "sectionring",
-        "q": field.q,
-        "preset": args.preset,
-        "max_weight": args.max_weight,
-        "divisor": repr(D),
-        "generators": gens,
-        "relations": rels,
+            for r in pres.relations
+        ],
     }
-    lines = ["divisor: %r" % (D,)]
-    for i, g in enumerate(gens):
-        lines.append("generator x%d: weight %d, section %s" % (i, g["weight"], g["section"]))
-    if rels:
-        for r in pres.relations:
-            lines.append(
-                "relation (weight %d): %s = 0"
-                % (r.weight, _combo_text(r.combo))
-            )
-    else:
-        lines.append("relations: none")
-    return _emit(args, payload, lines)
+    return _emit(args, result, _sectionring_table)
+
+
+def _combo_text(combo):
+    parts = []
+    for term in combo:
+        factors = []
+        for i, e in enumerate(term["exponents"]):
+            if e == 1:
+                factors.append("x%d" % i)
+            elif e > 1:
+                factors.append("x%d^%d" % (i, e))
+        mono = "*".join(factors) if factors else "1"
+        parts.append("(%s)*%s" % (term["coeff"], mono))
+    return " + ".join(parts)
+
+
+def _sectionring_table(r):
+    yield "divisor: %s" % r["divisor"]
+    for i, g in enumerate(r["generators"]):
+        yield "generator x%d: weight %d, section %s" % (i, g["weight"], g["section"])
+    for rel in r["relations"]:
+        yield "relation (weight %d): %s = 0" % (
+            rel["weight"], _combo_text(rel["monomial_combination"])
+        )
+    if not r["relations"]:
+        yield "relations: none"
 
 
 def _series_payload(f):
@@ -228,29 +225,20 @@ def cmd_split(args):
     field = _field(args)
     f = parse_useries(args.series, field, weight=args.k)
     f1, f2 = split(f, args.k, field.q)
-    payload = {
-        "schema": SCHEMA,
-        "command": "split",
-        "q": field.q,
-        "k": args.k,
-        "f1": _series_payload(f1),
-        "f2": _series_payload(f2),
-    }
-    lines = [
-        "f1 (type %d): %r" % (f1.type_residue, f1),
-        "f2 (type %d): %r" % (f2.type_residue, f2),
-    ]
-    return _emit(args, payload, lines)
+    result = {"k": args.k, "f1": _series_payload(f1), "f2": _series_payload(f2)}
+    return _emit(args, result, _split_table)
+
+
+def _split_table(r):
+    for name in ("f1", "f2"):
+        yield "%s (type %d): %s" % (name, r[name]["type"], r[name]["series"])
 
 
 def cmd_cusps(args):
     field = _field(args)
     G = _group_of(args, field)
     cs = cusps(G, field)
-    payload = {
-        "schema": SCHEMA,
-        "command": "cusps",
-        "q": field.q,
+    result = {
         "group": str(G),
         "count": cs.count,
         "reps": [
@@ -259,62 +247,57 @@ def cmd_cusps(args):
         ],
         "total_primitive_vectors": cs.total,
     }
-    lines = ["count: %d" % cs.count]
-    for (u, v), size in zip(cs.reps, cs.sizes):
-        lines.append("(%s, %s)  orbit size %d" % (format_poly(u), format_poly(v), size))
-    lines.append("total primitive vectors: %d" % cs.total)
-    return _emit(args, payload, lines)
+    return _emit(args, result, _cusps_table)
+
+
+def _cusps_table(r):
+    yield "count: %d" % r["count"]
+    for rep in r["reps"]:
+        yield "(%s, %s)  orbit size %d" % (rep["u"], rep["v"], rep["orbit_size"])
+    yield "total primitive vectors: %d" % r["total_primitive_vectors"]
 
 
 def cmd_valence(args):
     check_field(args.q, _modulus(args))  # reads only q: no field tables
-    q = args.q
     others = ()
     if args.v_other:
         others = tuple(int(x) for x in args.v_other.split(","))
     prof = VanishingProfile(
         k=args.k, v_inf=args.v_inf, v_e=args.v_e, v_other=others
     )
-    holds = valence_check(prof, q)
-    payload = {
-        "schema": SCHEMA,
-        "command": "valence",
-        "q": q,
+    result = {
         "k": args.k,
         "v_inf": args.v_inf,
         "v_e": args.v_e,
         "v_other": list(others),
-        "holds": holds,
+        "holds": valence_check(prof, args.q),
     }
-    return _emit(args, payload, ["holds: %s" % ("true" if holds else "false")])
+    return _emit(args, result, _valence_table)
+
+
+def _valence_table(r):
+    yield "holds: %s" % ("true" if r["holds"] else "false")
 
 
 def cmd_ellsearch(args):
     field = _field(args)
     G = _group_of(args, field)
     ws = elliptic_search(G, args.deg_bound, field)
-    payload = {
-        "schema": SCHEMA,
-        "command": "ellsearch",
-        "q": field.q,
+    result = {
         "group": str(G),
         "deg_bound": args.deg_bound,
         "count": len(ws),
         "witnesses": [_witness_payload(field, w) for w in ws],
     }
-    lines = ["count: %d" % len(ws)]
-    for w in ws:
-        lines.append(
-            "%r  det %s (%s)  quad z^2 + (%r)*z + (%r)"
-            % (
-                w.gamma,
-                field.format_elem(w.det),
-                "square" if w.det_is_square else "non-square",
-                w.quad_b,
-                w.quad_c,
-            )
+    return _emit(args, result, _ellsearch_table)
+
+
+def _ellsearch_table(r):
+    yield "count: %d" % r["count"]
+    for w in r["witnesses"]:
+        yield "%s  det %s (%s)  quad z^2 + (%s)*z + (%s)" % (
+            _matrix_text(w), w["det"], _square_text(w), w["quad_b"], w["quad_c"]
         )
-    return _emit(args, payload, lines)
 
 
 def _add_common(sp):
@@ -338,7 +321,9 @@ def _add_group(sp):
     sp.add_argument("--level", help="level polynomial when not embedded in --group")
 
 
+@functools.cache
 def build_parser():
+    """The parser of `main`, built once per process on first use."""
     parser = argparse.ArgumentParser(
         prog="drinfeld",
         description="Invariants of Drinfeld modular curves and their form rings.",
@@ -395,15 +380,9 @@ def build_parser():
     return parser
 
 
-@functools.cache
-def _parser():
-    """The parser of `main`, built once per process on first use."""
-    return build_parser()
-
-
 def main(argv=None):
     try:
-        args = _parser().parse_args(argv)
+        args = build_parser().parse_args(argv)
     except SystemExit as e:
         return int(e.code or 0)
     try:
@@ -420,7 +399,14 @@ def main(argv=None):
 
 
 def console_main():
-    sys.exit(main())
+    try:
+        code = main()
+        sys.stdout.flush()  # a closed pipe raises here, not at interpreter exit
+    except BrokenPipeError:
+        # the exit flushes stdout again: point it at devnull so that cannot raise
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        code = 1
+    sys.exit(code)
 
 
 if __name__ == "__main__":

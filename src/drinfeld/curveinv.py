@@ -171,13 +171,6 @@ class _Residues:
         return [(u, v) for u in order for v in order if coprime[kind[u]][kind[v]]]
 
 
-def primitive_vectors(N):
-    """All (u, v) in (A/N)^2 with gcd(u, v, N) = 1."""
-    res = _Residues(N)
-    polys = res.polys
-    return [(polys[u], polys[v]) for u, v in res.primitive(range(len(polys)))]
-
-
 def _mod_n_generators(G, res):
     """A generating set of <image of G mod N, scalars>, as code tables.
 
@@ -404,7 +397,10 @@ def _a_block(a, d_vals, dets, rows, products):
                     det_is_square=log[delta] % 2 == 0,
                 )
             )
-    block.sort(key=lambda w: w.gamma.sort_key())
+    # a is the same throughout the block, so (b, c, d) decide the order
+    block.sort(
+        key=lambda w: (w.gamma.b.sort_key(), w.gamma.c.sort_key(), w.gamma.d.sort_key())
+    )
     return block
 
 

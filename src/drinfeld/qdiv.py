@@ -131,38 +131,6 @@ def h0(D):
     return deg + 1 if deg >= 0 else 0
 
 
-@dataclass(frozen=True)
-class SectionBasis:
-    """Basis of H^0(floor D): functions t^(m-a) (t-1)^(-b), m in exps.
-
-    a, b, c are the floor's coefficients at 0, 1, infinity.
-    """
-
-    a: int
-    b: int
-    c: int
-    exps: tuple
-
-    def label(self, m):
-        parts = []
-        if m - self.a:
-            parts.append("t^%d" % (m - self.a))
-        if self.b:
-            parts.append("(t-1)^%d" % (-self.b))
-        return "*".join(parts) if parts else "1"
-
-
-def rr_basis(D):
-    """The explicit section basis of floor(D)."""
-    fd = floor_div(D)
-    a = int(fd.coeff(QPoint.ZERO))
-    b = int(fd.coeff(QPoint.ONE))
-    c = int(fd.coeff(QPoint.INFINITY))
-    deg = a + b + c
-    exps = tuple(range(deg + 1)) if deg >= 0 else ()
-    return SectionBasis(a=a, b=b, c=c, exps=exps)
-
-
 def log_canonical_divisor(inv):
     """-2(inf) + sum over elliptic points (1 - 1/e) + sum over cusps (1 + 1/e).
 
@@ -210,16 +178,24 @@ def h0_weighted(preset, q, k, l):
 
 @dataclass(frozen=True)
 class Generator:
-    """A chosen section x_m of H^0(floor(d*D)): the function t^t_exp (t-1)^s_exp."""
+    """A chosen section of H^0(floor(d*D)): the function t^t_exp (t-1)^s_exp."""
 
     degree: int
-    section_index: int
     t_exp: int
     s_exp: int
 
     @property
     def weight(self):
         return 2 * self.degree
+
+    def label(self):
+        """The section as text, leaving out each factor of exponent 0."""
+        parts = []
+        if self.t_exp:
+            parts.append("t^%d" % self.t_exp)
+        if self.s_exp:
+            parts.append("(t-1)^%d" % self.s_exp)
+        return "*".join(parts) if parts else "1"
 
 
 @dataclass(frozen=True)
@@ -448,7 +424,7 @@ def presentation(D, max_weight):
             for m in range(dim_h0):
                 added, _ = span.try_add({m: 1})
                 if added:
-                    gen = Generator(degree=d, section_index=m, t_exp=m - a, s_exp=-b)
+                    gen = Generator(degree=d, t_exp=m - a, s_exp=-b)
                     gens.append(gen)
                     new_gens.append(gen)
                 if span.rank == dim_h0:

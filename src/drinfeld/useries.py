@@ -264,8 +264,6 @@ def parse_useries(text, field, weight=0, type_residue=None, prec=None):
         if sgn < 0:
             coeff = -coeff
         terms[n] = terms.get(n, RatK.from_value(field, 0)) + coeff
-    if prec is None:
-        prec = max(DEFAULT_USERIES_PREC, max(terms, default=0) + 1)
     return USeries.from_terms(
         field, terms, weight=weight, type_residue=type_residue, prec=prec
     )

@@ -11,7 +11,7 @@ import time
 import pytest
 
 import drinfeld
-from drinfeld import Parity
+from drinfeld import Parity, cli
 from drinfeld.cli import SECTIONRING_WEIGHT_MAX, main
 
 
@@ -27,6 +27,12 @@ def run_json(capsys, *argv):
     payload = json.loads(out)
     assert payload["schema"] == "drinfeld/1"
     return payload
+
+
+def src_env():
+    """The environment of a fresh interpreter that imports this checkout."""
+    src = os.path.dirname(os.path.dirname(os.path.abspath(drinfeld.__file__)))
+    return dict(os.environ, PYTHONPATH=src)
 
 
 # ----------------------------------------------------------------- parity
@@ -77,6 +83,7 @@ def test_parity_reports_undecided_searches_with_exit_zero(capsys, monkeypatch):
     assert payload["classification"] == "undecided"
     assert payload["bound"] == 0
     assert payload["witness"] is None
+    assert "".join(line + "\n" for line in cli._parity_table(payload)) == out
 
 
 @pytest.mark.parametrize("command", ["parity", "ellsearch"])
@@ -309,6 +316,9 @@ def test_cusps_work_bounds_name_the_size_and_the_limit(capsys):
     assert (code, out) == (3, "")
     assert "residue space too large: 27^4 pairs exceed" in err
     assert "ELLIPTIC_BOX_LIMIT = 500000" in err
+    code, out, err = run(capsys, "cusps", "--q", "27", "--group", "gamma0:T^2+1")
+    assert (code, out) == (3, "")
+    assert "27^4 pairs exceed" in err
     code, out, err = run(capsys, "cusps", "--q", "3", "--group", "gamma0:T^3")
     assert (code, out) == (3, "")
     assert "CUSP_LEVEL_DEG_LIMIT = 2: the level has degree 3" in err
@@ -537,15 +547,64 @@ def test_one_process_answers_each_request_as_a_fresh_interpreter(capsys):
     for argv in requests:
         code = main(list(argv))
         in_process.append((code, capsys.readouterr().out))
-    src = os.path.dirname(os.path.dirname(os.path.abspath(drinfeld.__file__)))
-    env = dict(os.environ, PYTHONPATH=src)
     fresh = []
     for argv in requests:
         proc = subprocess.run(
             [sys.executable, "-m", "drinfeld.cli", *argv],
-            env=env, stdout=subprocess.PIPE, stderr=subprocess.DEVNULL, text=True,
+            env=src_env(), stdout=subprocess.PIPE, stderr=subprocess.DEVNULL, text=True,
         )
         fresh.append((proc.returncode, proc.stdout))
     assert [code for code, _ in in_process] == [2, 0, 0, 0, 0, 0]
     assert json.loads(in_process[2][1])["deg_bound"] == 0
     assert in_process == fresh
+
+
+# ------------------------------------------------- one result, two formats
+
+# one request per subcommand, and a section ring with and without relations
+_TABLES = {
+    "parity": cli._parity_table,
+    "dims": cli._dims_table,
+    "sectionring": cli._sectionring_table,
+    "split": cli._split_table,
+    "cusps": cli._cusps_table,
+    "valence": cli._valence_table,
+    "ellsearch": cli._ellsearch_table,
+}
+_ROUND_TRIPS = [
+    ("parity", "--q", "7", "--group", "gamma1:4*T+3"),
+    ("parity", "--q", "3", "--group", "gamma0:T!sq"),
+    ("dims", "--q", "5", "--k-max", "8"),
+    ("sectionring", "--q", "3", "--preset", "Gamma0T_2", "--max-weight", "12"),
+    ("sectionring", "--q", "5", "--preset", "GL2A_2", "--max-weight", "12"),
+    ("split", "--q", "5", "--k", "4", "u^2+3*u^4"),
+    ("cusps", "--q", "9", "--modulus", "1,0,1", "--group", "gamma0:T^2"),
+    ("valence", "--q", "5", "--k", "4", "--v-e", "1", "--v-other", "0,1"),
+    ("ellsearch", "--q", "3", "--group", "gamma1:T+1", "--deg-bound", "1"),
+]
+
+
+@pytest.mark.parametrize("argv", _ROUND_TRIPS, ids=" ".join)
+def test_the_table_is_rendered_from_the_json_payload(capsys, argv):
+    code, out, _ = run(capsys, *argv)
+    assert code == 0
+    payload = run_json(capsys, *argv)
+    assert out and "".join(line + "\n" for line in _TABLES[argv[0]](payload)) == out
+
+
+# ------------------------------------------------------------ closed pipe
+
+
+def test_a_closed_pipe_exits_1_without_a_traceback():
+    # the JSON witness list is about 200 kB, far beyond what the pipe
+    # buffers, so writing goes on after the reader has closed its end
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "drinfeld.cli", "ellsearch", "--q", "7",
+         "--group", "full", "--format", "json"],
+        env=src_env(), stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+    )
+    assert proc.stdout.readline() == b"{\n"
+    proc.stdout.close()
+    _, err = proc.communicate(timeout=60)
+    assert proc.returncode == 1
+    assert b"Traceback" not in err

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import itertools
+from fractions import Fraction
 
 import pytest
 
@@ -29,7 +30,6 @@ from drinfeld import (
     parse_poly,
     poly_ext_gcd,
 )
-from drinfeld.curveinv import primitive_vectors
 from conftest import get_field, poly_sqrt
 
 
@@ -40,31 +40,45 @@ def T_of(q):
 # ------------------------------------------------------ primitive vectors
 
 
-@pytest.mark.parametrize("q", [3, 5, 7])
-def test_primitive_vector_count_for_a_linear_level(q):
-    prim = primitive_vectors(T_of(q))
-    assert len(prim) == q * q - 1
-    assert len(set(prim)) == len(prim)
+def _primitive_count(q, n, factor_degrees):
+    """|N|^2 prod_{P | N} (1 - |P|^-2) with |N| = q^deg N: the pairs (u, v)
+    of residues mod N that no prime P of N divides both of."""
+    count = Fraction(q ** (2 * n))
+    for d in factor_degrees:
+        count *= 1 - Fraction(1, q ** (2 * d))
+    return int(count)
 
 
-def test_primitive_vector_count_for_higher_levels():
-    F = get_field(3)
-    t = PolyA.T(F)
-    assert len(primitive_vectors(t * t)) == 81 - 9
-    split = parse_poly("T^2+2*T", F)  # T(T+2), two distinct linear factors
-    assert len(primitive_vectors(split)) == 64
+# (q, modulus, level, degrees of the distinct prime factors of the level)
+_PRIMITIVE_COUNT_LEVELS = [
+    (3, None, "T", [1]),
+    (5, None, "T", [1]),
+    (7, None, "T", [1]),
+    (3, None, "T^2", [1]),
+    (3, None, "T^2+2*T", [1, 1]),
+    (3, None, "T^2+1", [2]),
+    (5, None, "T^2+3*T+2", [1, 1]),
+    (5, None, "T^2+2", [2]),
+    (9, (1, 0, 1), "T+1", [1]),
+]
 
 
-def test_primitive_vectors_reject_constant_levels_and_huge_boxes():
-    F = get_field(3)
-    with pytest.raises(ValueError):
-        primitive_vectors(PolyA.one(F))
-    with pytest.raises(ValueError):
-        primitive_vectors(PolyA.zero(F))
-    F7 = get_field(7)
-    t = PolyA.T(F7)
-    with pytest.raises(WorkBoundError, match=r"7\^8 pairs exceed ELLIPTIC_BOX_LIMIT"):
-        primitive_vectors(t * t * t * t)
+def test_the_closed_form_at_small_levels():
+    assert [_primitive_count(q, 1, [1]) for q in (3, 5, 7)] == [8, 24, 48]
+    assert _primitive_count(3, 2, [1]) == 72  # T^2
+    assert _primitive_count(3, 2, [1, 1]) == 64  # T(T+2)
+
+
+@pytest.mark.parametrize("q, modulus, level, factor_degrees", _PRIMITIVE_COUNT_LEVELS)
+def test_cusp_orbits_partition_the_primitive_vectors(q, modulus, level, factor_degrees):
+    F = get_field(q) if modulus is None else Fq(q, modulus=modulus)
+    N = parse_poly(level, F)
+    groups = [GroupSpec(family, N) for family in ("gammaN", "gamma1", "gamma0")]
+    if N == PolyA.T(F):
+        groups.append(GroupSpec("full", None))  # the full group runs at the level T
+    for G in groups:
+        cs = cusps(G, F)
+        assert sum(cs.sizes) == cs.total == _primitive_count(q, N.degree, factor_degrees)
 
 
 # ----------------------------------------------------------------- cusps
@@ -94,15 +108,6 @@ def test_identity_congruence_group_has_q_plus_one_cusps(q):
     assert cs.count == q + 1
     assert all(size == q - 1 for size in cs.sizes)
     assert cs.total == q * q - 1
-
-
-@pytest.mark.parametrize("family", ["full", "gamma0", "gamma1"])
-def test_cusp_orbits_partition_the_primitive_vectors(family):
-    F = get_field(5)
-    level = None if family == "full" else PolyA.T(F)
-    cs = cusps(GroupSpec(family, level), F)
-    assert sum(cs.sizes) == cs.total
-    assert cs.total == len(primitive_vectors(PolyA.T(F)))
 
 
 @pytest.mark.parametrize("family", ["full", "gamma0", "gamma1"])
@@ -156,7 +161,9 @@ def _reference_generators(G, N):
 def _reference_cusps(G, field):
     N = G.level if G.level is not None else PolyA.T(field)
     gens = _reference_generators(G, N)
-    prim = primitive_vectors(N)
+    one = PolyA.one(field)
+    res = _reference_polys(field, N.degree - 1)
+    prim = [(u, v) for u in res for v in res if u.gcd(v).gcd(N) == one]
     key = lambda w: (w[0].sort_key(), w[1].sort_key())
     seen, keyed = set(), []
     for start in prim:

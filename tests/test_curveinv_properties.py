@@ -2,7 +2,7 @@
 and of the trace rule behind `elliptic_search`.
 
 Fields: F_3, F_5, F_7, F_9 under the moduli x^2 + 1 and x^2 + x + 2, F_25
-and F_27.  Levels have degree 1 or 2 within the `primitive_vectors` bound
+and F_27.  Levels have degree 1 or 2 within the residue-space bound
 q^(2 deg N) <= ELLIPTIC_BOX_LIMIT and any nonzero leading coefficient.  One
 orbit step read from the code tables is checked against the same step
 computed on PolyA, and code -> PolyA -> code against the identity.  The

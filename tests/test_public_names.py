@@ -1,5 +1,6 @@
-"""Every exported name, and every public method of a library class, has a
-caller in the library or the acceptance suite."""
+"""Every exported name, every public module-level function and class, and
+every public method of a library class has a caller in the library or the
+acceptance suite."""
 
 from __future__ import annotations
 
@@ -58,6 +59,19 @@ def _attribute_reads(path):
 def test_every_exported_name_has_a_caller():
     reached = set().union(*map(_references, CALLERS))
     assert sorted(set(drinfeld.__all__) - reached) == []
+
+
+def test_every_public_module_level_definition_has_a_caller():
+    reached = set().union(*map(_references, CALLERS))
+    unreached = [
+        "%s.%s" % (os.path.basename(path)[:-3], stmt.name)
+        for path in MODULES
+        for stmt in _parse(path).body
+        if isinstance(stmt, (ast.FunctionDef, ast.ClassDef))
+        and not stmt.name.startswith("_")
+        and stmt.name not in reached
+    ]
+    assert unreached == []
 
 
 def test_every_public_method_has_a_caller():

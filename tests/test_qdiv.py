@@ -19,7 +19,6 @@ from drinfeld import (
     h0_weighted,
     log_canonical_divisor,
     presentation,
-    rr_basis,
 )
 from conftest import SEED, get_field
 
@@ -78,7 +77,7 @@ def test_floor_is_componentwise_and_idempotent():
     assert floor_div(F) == F
 
 
-# ------------------------------------------------------- h0 and rr_basis
+# ------------------------------------------- h0 and the section labels
 
 
 def test_h0_known_values():
@@ -88,42 +87,20 @@ def test_h0_known_values():
     assert h0(qdiv(z=Fraction(1, 2), o=Fraction(1, 2))) == 1
 
 
-def test_rr_basis_known_labels():
-    b = rr_basis(qdiv(i=2))
-    assert len(b.exps) == 3
-    assert [b.label(m) for m in b.exps] == ["1", "t^1", "t^2"]
+def test_generator_labels_are_the_section_basis_at_weight_two():
+    # weight 2 has no products yet, so its generators are the whole basis
+    # t^(m-a) (t-1)^(-b), m = 0 .. deg floor(D), of floor(D) = a(0) + b(1) + c(inf)
+    def labels(D):
+        return [g.label() for g in presentation(D, 2).generators]
 
-    b = rr_basis(qdiv(z=1))
-    assert len(b.exps) == 2
-    assert [b.label(m) for m in b.exps] == ["t^-1", "1"]
-
-    b = rr_basis(qdiv(z=1, o=1))
-    assert len(b.exps) == 3
-    assert [b.label(m) for m in b.exps] == [
+    assert labels(qdiv(i=2)) == ["1", "t^1", "t^2"]
+    assert labels(qdiv(z=1)) == ["t^-1", "1"]
+    assert labels(qdiv(z=1, o=1)) == [
         "t^-1*(t-1)^-1",
         "(t-1)^-1",
         "t^1*(t-1)^-1",
     ]
-
-    assert rr_basis(qdiv(i=-1)).exps == ()
-
-
-def test_rr_basis_matches_h0_on_random_divisors():
-    rng = random.Random(SEED)
-    for _ in range(500):
-        coeffs = {}
-        for pt in (Z, O, I):
-            den = rng.randint(1, 6)
-            coeffs[pt] = Fraction(rng.randint(-5, 5), den)
-        D = QDivisor(coeffs)
-        basis = rr_basis(D)
-        assert len(basis.exps) == h0(D)
-        deg = int(floor_div(D).degree())
-        # each section t^(m-a) (t-1)^(-b) lies in the space: pole orders at
-        # 0, 1, inf are a-m <= a, b <= b, m-a-(-b)+... i.e. 0 <= m <= deg
-        for m in basis.exps:
-            assert 0 <= m <= deg
-        assert len(set(basis.exps)) == len(basis.exps)
+    assert labels(qdiv(i=-1)) == []
 
 
 def test_h0_is_monotone_under_effective_additions():
@@ -263,9 +240,7 @@ def test_gamma0_curve_ring_q5_has_one_relation_in_weight_eight():
     D = log_canonical_divisor(inv)
     pres = presentation(D, max_weight=16)
     assert pres.generator_weights() == (2, 4, 4)
-    labels = [
-        rr_basis(g.degree * D).label(g.section_index) for g in pres.generators
-    ]
+    labels = [g.label() for g in pres.generators]
     assert labels == ["t^-1", "t^-3", "t^-1"]
     assert pres.relation_weights() == (8,)
     assert set(pres.relations[0].support()) == {(4, 0, 0), (0, 1, 1)}
