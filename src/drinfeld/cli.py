@@ -43,7 +43,7 @@ SECTIONRING_WEIGHT_MAX = 4 * (Q_MAX + 1)
 
 
 def _modulus(args):
-    if not getattr(args, "modulus", None):
+    if getattr(args, "modulus", None) is None:
         return None
     try:
         return tuple(int(c) for c in args.modulus.split(","))

@@ -16,7 +16,7 @@ square-determinant subgroup, index q-1 the determinant-one subgroup.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .ffarith import FqElem, ParseError, PolyA, parse_poly
 
@@ -93,29 +93,28 @@ def _mat2(a, b, c, d, det):
     return m
 
 
-@dataclass(frozen=True)
-class GroupSpec:
+class GroupSpec(namedtuple("GroupSpec", "family level det_index")):
     """Descriptor of a congruence subgroup with a determinant restriction.
 
-    det_index is the index m of the allowed determinant subgroup in F_q^x:
-    1 = all units, 2 = squares, q-1 = determinant one.
+    level is a PolyA, or None for the full group.  det_index is the index m
+    of the allowed determinant subgroup in F_q^x: 1 = all units, 2 =
+    squares, q-1 = determinant one.
     """
 
-    family: str
-    level: PolyA | None
-    det_index: int = DET_ALL
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.family not in FAMILIES:
-            raise ValueError("unknown family %r" % (self.family,))
-        if self.family == "full":
-            if self.level is not None:
+    def __new__(cls, family, level, det_index=DET_ALL):
+        if family not in FAMILIES:
+            raise ValueError("unknown family %r" % (family,))
+        if family == "full":
+            if level is not None:
                 raise ValueError("the full group carries no level")
         else:
-            if self.level is None:
-                raise ValueError("family %s requires a level" % self.family)
-            if self.level.is_zero() or self.level.is_constant():
+            if level is None:
+                raise ValueError("family %s requires a level" % family)
+            if level.is_zero() or level.is_constant():
                 raise ValueError("level must be nonconstant and nonzero")
+        return super().__new__(cls, family, level, det_index)
 
     def field_for(self, field=None):
         if self.level is not None:
@@ -255,18 +254,9 @@ def parse_group(text, field, level_text=None):
     else:
         fam = src
         level = parse_poly(level_text, field) if level_text else None
-    if fam == "full":
-        if level is not None:
-            raise ParseError("the full group takes no level", 0)
-        spec = GroupSpec("full", None, det_index)
-    elif fam in ("gamma0", "gamma1", "gammaN"):
-        if level is None:
-            raise ParseError("family %s requires a level polynomial" % fam, len(src))
-        try:
-            spec = GroupSpec(fam, level, det_index)
-        except ValueError as exc:
-            raise ParseError(str(exc), 0)
-    else:
-        raise ParseError("unknown group family %r" % fam, 0)
+    try:
+        spec = GroupSpec(fam, level, det_index)
+    except ValueError as exc:
+        raise ParseError(str(exc), 0)
     spec.validate_det_index(field)
     return spec

@@ -33,9 +33,9 @@ from __future__ import annotations
 
 import itertools
 import operator
-from dataclasses import dataclass
+from collections import namedtuple
 
-from .congruence import GroupSpec, Mat2, _mat2
+from .congruence import GroupSpec, _mat2
 from .ffarith import (
     FqElem,
     PolyA,
@@ -51,71 +51,64 @@ CUSP_LEVEL_DEG_LIMIT = 2
 PRESETS = ("GL2A_2", "Gamma0T_2")
 
 
-@dataclass(frozen=True)
-class CuspSet:
+class CuspSet(namedtuple("CuspSet", "reps sizes total")):
     """Orbit representatives of primitive vectors mod the level."""
 
-    reps: tuple
-    sizes: tuple
-    total: int
+    __slots__ = ()
 
     @property
     def count(self):
         return len(self.reps)
 
 
-@dataclass(frozen=True)
-class EllipticWitness:
+class EllipticWitness(
+    namedtuple("EllipticWitness", "gamma quad_b quad_c det det_is_square")
+):
     """A non-scalar group element with K-irreducible fixed-point quadratic.
 
-    quad_b = (d-a)/c and quad_c = -b/c are the coefficients of the monic
+    gamma is the Mat2 (a, b; c, d) and det its FqElem determinant.  The
+    RatKs quad_b = (d-a)/c and quad_c = -b/c are the coefficients of the monic
     quadratic z^2 + quad_b*z + quad_c fixed by gamma; the discriminant
     quad_b^2 - 4*quad_c is nonzero and not a square in K.
     """
 
-    gamma: Mat2
-    quad_b: RatK
-    quad_c: RatK
-    det: FqElem
-    det_is_square: bool
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class Parity:
+class Parity(namedtuple("Parity", "kind bound witness")):
     """Square / non-square classification, honest about the search bound.
 
     kind is "Square", "NonSquare", or "NoWitnessFound"; a NonSquare result
-    stores a witness with non-square determinant.
+    stores an EllipticWitness with non-square determinant, the others None.
     """
 
-    kind: str
-    bound: int
-    witness: EllipticWitness | None = None
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.kind not in ("Square", "NonSquare", "NoWitnessFound"):
-            raise ValueError("unknown parity kind %r" % (self.kind,))
-        if self.kind == "NonSquare":
-            if self.witness is None or self.witness.det_is_square:
+    def __new__(cls, kind, bound, witness=None):
+        if kind not in ("Square", "NonSquare", "NoWitnessFound"):
+            raise ValueError("unknown parity kind %r" % (kind,))
+        if kind == "NonSquare":
+            if witness is None or witness.det_is_square:
                 raise ValueError("NonSquare requires a non-square-det witness")
+        return super().__new__(cls, kind, bound, witness)
 
 
-@dataclass(frozen=True)
-class EllipticPointRecord:
+class EllipticPointRecord(
+    namedtuple("EllipticPointRecord", "stab_order stab_order_sq")
+):
     """One elliptic point with its stabilizer orders (modulo scalars) in the
     group and in its square-determinant subgroup."""
 
-    stab_order: int
-    stab_order_sq: int
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class CurveInvariants:
-    q: int
-    group: GroupSpec
-    genus: int
-    cusp_stab_orders: tuple
-    elliptic_points: tuple
+class CurveInvariants(
+    namedtuple("CurveInvariants", "q group genus cusp_stab_orders elliptic_points")
+):
+    """Genus and the stabilizer orders of the cusps (ints) and elliptic points
+    (EllipticPointRecords) of the curve of a GroupSpec over F_q."""
+
+    __slots__ = ()
 
 
 class _Residues:

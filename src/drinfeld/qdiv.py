@@ -33,7 +33,7 @@ monomials, so it does not depend on how the elimination scaled its rows.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 from heapq import heapify, heappop, heappush
 from math import comb, gcd, lcm
@@ -176,13 +176,10 @@ def h0_weighted(preset, q, k, l):
     return 0
 
 
-@dataclass(frozen=True)
-class Generator:
+class Generator(namedtuple("Generator", "degree t_exp s_exp")):
     """A chosen section of H^0(floor(d*D)): the function t^t_exp (t-1)^s_exp."""
 
-    degree: int
-    t_exp: int
-    s_exp: int
+    __slots__ = ()
 
     @property
     def weight(self):
@@ -198,41 +195,38 @@ class Generator:
         return "*".join(parts) if parts else "1"
 
 
-@dataclass(frozen=True)
-class Relation:
+class Relation(namedtuple("Relation", "weight combo")):
     """A kernel vector of the monomial-evaluation map at one weight.
 
     combo lists (exponent tuple over the generators, coefficient); the
     support is the set of monomials with nonzero coefficient.
     """
 
-    weight: int
-    combo: tuple
+    __slots__ = ()
 
     def support(self):
         return tuple(exps for exps, coeff in self.combo if coeff != 0)
 
 
-@dataclass(frozen=True)
-class DegreeLog:
+class DegreeLog(
+    namedtuple(
+        "DegreeLog",
+        "weight h0 monomial_count span_rank kernel_count absorbed_count"
+        " new_generators new_relations",
+    )
+):
     """Exact bookkeeping for one internal degree of the presentation run."""
 
-    weight: int
-    h0: int
-    monomial_count: int
-    span_rank: int
-    kernel_count: int
-    absorbed_count: int
-    new_generators: tuple
-    new_relations: tuple
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class RingPresentation:
-    generators: tuple
-    relations: tuple
-    truncation_weight: int
-    degree_logs: tuple
+class RingPresentation(
+    namedtuple("RingPresentation", "generators relations truncation_weight degree_logs")
+):
+    """Generators and relations of a section ring up to a truncation weight,
+    with the DegreeLog of each internal degree."""
+
+    __slots__ = ()
 
     def generator_weights(self):
         return tuple(g.weight for g in self.generators)

@@ -9,28 +9,24 @@ Gamma_0(T), and checks the valence formula in exact rational arithmetic.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 
 
-@dataclass(frozen=True)
-class VanishingProfile:
+class VanishingProfile(namedtuple("VanishingProfile", "k v_inf v_e v_other")):
     """Vanishing orders of a level-one form: at infinity, at the elliptic
     point, and at the remaining (unweighted) points."""
 
-    k: int
-    v_inf: int = 0
-    v_e: int = 0
-    v_other: tuple = ()
+    __slots__ = ()
 
-    def __post_init__(self):
-        object.__setattr__(self, "v_other", tuple(self.v_other))
-        for name in ("k", "v_inf", "v_e"):
-            value = getattr(self, name)
+    def __new__(cls, k, v_inf=0, v_e=0, v_other=()):
+        v_other = tuple(v_other)
+        for name, value in (("k", k), ("v_inf", v_inf), ("v_e", v_e)):
             if value < 0:
                 raise ValueError("%s must be nonnegative, got %d" % (name, value))
-        if min(self.v_other, default=0) < 0:
-            raise ValueError("v_other must be nonnegative, got %s" % (self.v_other,))
+        if min(v_other, default=0) < 0:
+            raise ValueError("v_other must be nonnegative, got %s" % (v_other,))
+        return super().__new__(cls, k, v_inf, v_e, v_other)
 
 
 def type_solutions(k, q):

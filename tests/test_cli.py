@@ -454,6 +454,21 @@ def test_q_only_commands_check_q_without_building_the_field(capsys, monkeypatch)
     assert run(capsys, "valence", "--q", "5", "--modulus", "1,0,1", "--k", "4")[0] == 2
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("cusps", "--q", "9", "--modulus", "", "--group", "full"),
+        ("valence", "--q", "5", "--modulus", "", "--k", "4"),
+        ("dims", "--q", "5", "--modulus", "", "--k-max", "4"),
+    ],
+    ids=lambda argv: argv[0],
+)
+def test_an_empty_modulus_is_a_parse_error_not_an_absent_one(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert "modulus must be comma-separated integers" in err
+
+
 def test_level_degree_is_bounded_before_any_coefficients_are_built(capsys):
     # 'T^3000000' would otherwise build three million coefficients first
     code, out, err = run(capsys, "parity", "--q", "5", "--group", "gamma0:T^3000000")
@@ -557,6 +572,20 @@ def test_one_process_answers_each_request_as_a_fresh_interpreter(capsys):
     assert [code for code, _ in in_process] == [2, 0, 0, 0, 0, 0]
     assert json.loads(in_process[2][1])["deg_bound"] == 0
     assert in_process == fresh
+
+
+def test_importing_the_cli_loads_no_dataclasses():
+    # the result records are named tuples: the import pulls in neither
+    # dataclasses nor the inspect machinery it brings along
+    probe = (
+        "import sys, drinfeld.cli; "
+        "print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", probe],
+        env=src_env(), stdout=subprocess.PIPE, text=True, check=True,
+    )
+    assert proc.stdout == "[]\n"
 
 
 # ------------------------------------------------- one result, two formats
