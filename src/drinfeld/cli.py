@@ -43,7 +43,7 @@ SECTIONRING_WEIGHT_MAX = 4 * (Q_MAX + 1)
 
 
 def _modulus(args):
-    if getattr(args, "modulus", None) is None:
+    if args.modulus is None:
         return None
     try:
         return tuple(int(c) for c in args.modulus.split(","))
@@ -68,7 +68,7 @@ def _emit(args, result, table):
 
 
 def _group_of(args, field):
-    return parse_group(args.group, field, getattr(args, "level", None))
+    return parse_group(args.group, field, args.level)
 
 
 def _witness_payload(field, w):

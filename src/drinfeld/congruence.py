@@ -245,7 +245,7 @@ def parse_group(text, field, level_text=None):
         else:
             raise ParseError("unknown determinant suffix %r" % suffix, len(src))
     if ":" in src:
-        if level_text:
+        if level_text is not None:
             raise ParseError(
                 "the level is given twice: in the group and separately", src.index(":")
             )
@@ -253,7 +253,7 @@ def parse_group(text, field, level_text=None):
         level = parse_poly(poly_text, field)
     else:
         fam = src
-        level = parse_poly(level_text, field) if level_text else None
+        level = parse_poly(level_text, field) if level_text is not None else None
     try:
         spec = GroupSpec(fam, level, det_index)
     except ValueError as exc:

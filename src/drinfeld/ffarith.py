@@ -402,9 +402,6 @@ class PolyA:
             raise ValueError("zero polynomial has no leading coefficient")
         return FqElem(self.field, self.coeffs[-1])
 
-    def is_monic(self):
-        return bool(self.coeffs) and self.coeffs[-1] == 1
-
     def coeff(self, i):
         """The coefficient of T^i as an FqElem."""
         c = self.coeffs[i] if 0 <= i < len(self.coeffs) else 0

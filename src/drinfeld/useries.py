@@ -1,11 +1,12 @@
 """Truncated formal series in the parameter u with weight and type metadata.
 
 A series carries exact coefficients a_0 .. a_{prec-1} in K = F_q(T), a
-weight, and an optional type residue l mod q-1.  Scaling models the
-substitution u -> alpha^{-1} u, so a form of even weight k with constant
-scaling factor has all support in the two exponent classes solving
-2n = k (mod q-1); the splitting operator sorts coefficients into those two
-classes and assigns the matching types.  Everything here is formal: no
+weight, and an optional type residue l mod q-1.  It is stored as its
+support: the nonzero coefficients keyed by exponent, in ascending order.
+Scaling models the substitution u -> alpha^{-1} u, so a form of even weight
+k with constant scaling factor has all support in the two exponent classes
+solving 2n = k (mod q-1); the splitting operator sorts the terms into those
+two classes and assigns the matching types.  Everything here is formal: no
 named form's coefficients are computed.
 """
 
@@ -13,7 +14,7 @@ from __future__ import annotations
 
 import re
 
-from .ffarith import ParseError, PolyA, RatK, format_poly, parse_poly
+from .ffarith import ParseError, RatK, parse_poly
 from .weights import decompose_gamma2
 
 DEFAULT_USERIES_PREC = 64
@@ -30,60 +31,69 @@ class SupportError(ValueError):
         super().__init__(message)
 
 
-def _as_ratk(field, value):
-    x = RatK.from_value(field, value)
-    if x.field is not field and x.field != field:
-        raise ValueError("coefficient from a different field")
-    return x
-
-
 class USeries:
-    """Exact truncated series sum a_n u^n, 0 <= n < prec."""
+    """Exact truncated series sum a_n u^n, 0 <= n < prec.
 
-    __slots__ = ("field", "coeffs", "weight", "type_residue")
+    `terms` maps each exponent whose coefficient is nonzero to that
+    coefficient, in ascending exponent order; `coeffs` is the dense tuple
+    a_0 .. a_{prec-1}, built when read.
+    """
+
+    __slots__ = ("field", "terms", "prec", "weight", "type_residue")
 
     def __init__(self, field, coeffs, weight=0, type_residue=None, prec=None):
-        coeffs = [_as_ratk(field, c) for c in coeffs]
-        if prec is not None:
-            if prec < len(coeffs):
-                raise ValueError("precision below the given coefficients")
-            zero = RatK.from_value(field, 0)
-            coeffs = coeffs + [zero] * (prec - len(coeffs))
-        if not coeffs:
-            raise ValueError("a series needs at least one coefficient")
-        if type_residue is not None:
-            type_residue = type_residue % (field.q - 1)
-        self.field = field
-        self.coeffs = tuple(coeffs)
-        self.weight = weight
-        self.type_residue = type_residue
+        coeffs = list(coeffs)
+        if prec is None:
+            prec = len(coeffs)
+        elif prec < len(coeffs):
+            raise ValueError("precision below the given coefficients")
+        self._store(field, enumerate(coeffs), weight, type_residue, prec)
 
     @classmethod
     def from_terms(cls, field, terms, weight=0, type_residue=None, prec=None):
         """Build from a mapping exponent -> coefficient."""
         if prec is None:
-            top = max(terms, default=0)
-            prec = max(DEFAULT_USERIES_PREC, top + 1)
-        zero = RatK.from_value(field, 0)
-        coeffs = [zero] * prec
-        for n, c in terms.items():
+            prec = max(DEFAULT_USERIES_PREC, max(terms, default=0) + 1)
+        f = object.__new__(cls)
+        f._store(field, sorted(terms.items()), weight, type_residue, prec)
+        return f
+
+    def _store(self, field, pairs, weight, type_residue, prec):
+        """Keep the nonzero coefficients of `pairs`, given in ascending exponent order."""
+        terms = {}
+        for n, c in pairs:
             if not 0 <= n < prec:
                 raise ValueError("exponent %d outside precision window" % n)
-            coeffs[n] = coeffs[n] + _as_ratk(field, c)
-        return cls(field, coeffs, weight=weight, type_residue=type_residue)
+            c = RatK.from_value(field, c)
+            if c.field is not field and c.field != field:
+                raise ValueError("coefficient from a different field")
+            if c:
+                terms[n] = c
+        if prec < 1:
+            raise ValueError("a series needs at least one coefficient")
+        if type_residue is not None:
+            type_residue = type_residue % (field.q - 1)
+        self.field = field
+        self.terms = terms
+        self.prec = prec
+        self.weight = weight
+        self.type_residue = type_residue
 
     @property
-    def prec(self):
-        return len(self.coeffs)
+    def coeffs(self):
+        zero = RatK.from_value(self.field, 0)
+        return tuple(self.terms.get(n, zero) for n in range(self.prec))
 
     def coeff(self, n):
-        return self.coeffs[n]
+        if not 0 <= n < self.prec:
+            raise IndexError("exponent %d outside precision window" % n)
+        return self.terms.get(n) or RatK.from_value(self.field, 0)
 
     def support(self):
-        return tuple(n for n, c in enumerate(self.coeffs) if not c.is_zero())
+        return tuple(self.terms)
 
     def is_zero(self):
-        return all(c.is_zero() for c in self.coeffs)
+        return not self.terms
 
     def __add__(self, other):
         if not isinstance(other, USeries):
@@ -93,9 +103,12 @@ class USeries:
         if self.weight != other.weight:
             raise ValueError("cannot add series of different weights")
         prec = min(self.prec, other.prec)
-        coeffs = [self.coeffs[i] + other.coeffs[i] for i in range(prec)]
+        terms = {n: c for n, c in self.terms.items() if n < prec}
+        for n, c in other.terms.items():
+            if n < prec:
+                terms[n] = terms[n] + c if n in terms else c
         l = self.type_residue if self.type_residue == other.type_residue else None
-        return USeries(self.field, coeffs, self.weight, l)
+        return USeries.from_terms(self.field, terms, self.weight, l, prec)
 
     def __eq__(self, other):
         if not isinstance(other, USeries):
@@ -104,29 +117,20 @@ class USeries:
             self.field == other.field
             and self.weight == other.weight
             and self.type_residue == other.type_residue
-            and self.coeffs == other.coeffs
+            and self.prec == other.prec
+            and self.terms == other.terms
         )
 
     def __hash__(self):
-        return hash((self.weight, self.type_residue, self.coeffs))
+        return hash((self.weight, self.type_residue, self.prec, tuple(self.terms.items())))
 
     def __repr__(self):
-        terms = []
-        for n, c in enumerate(self.coeffs):
-            if c.is_zero():
-                continue
-            terms.append(format_useries_term(c, n))
-        return " + ".join(terms) if terms else "0"
+        return " + ".join(format_useries_term(c, n) for n, c in self.terms.items()) or "0"
 
 
 def format_useries_term(coeff, n):
-    if coeff.den.degree == 0 and coeff.den.is_monic():
-        s = format_poly(coeff.num)
-        plain = re.fullmatch(r"-?[a-zA-Z0-9^*]+", s) is not None
-    else:
-        s = repr(coeff)
-        plain = True
-    if not plain:
+    s = repr(coeff)
+    if coeff.den.degree == 0 and "+" in s:
         s = "(%s)" % s
     if n == 0:
         return s
@@ -137,18 +141,13 @@ def format_useries_term(coeff, n):
 
 
 def scale_u(f, alpha):
-    """Coefficientwise a_n -> a_n alpha^{-n}; models u -> alpha^{-1} u."""
-    field = f.field
-    alpha = field.elem(alpha)
+    """Termwise a_n -> a_n alpha^{-n}; models u -> alpha^{-1} u."""
+    alpha = f.field.elem(alpha)
     if alpha.is_zero():
         raise ValueError("scaling constant must be nonzero")
     inv = alpha.inverse()
-    power = field.elem(1)
-    coeffs = []
-    for c in f.coeffs:
-        coeffs.append(c * RatK(PolyA(field, [power])))
-        power = power * inv
-    return USeries(field, coeffs, f.weight, f.type_residue)
+    terms = {n: c * inv**n for n, c in f.terms.items()}
+    return USeries.from_terms(f.field, terms, f.weight, f.type_residue, f.prec)
 
 
 def check_support(f, k, q):
@@ -161,7 +160,7 @@ def check_support(f, k, q):
 
 
 def split(f, k, q):
-    """Sort coefficients into the classes n = k/2 and k/2 + (q-1)/2 (mod q-1).
+    """Sort the terms into the classes n = k/2 and k/2 + (q-1)/2 (mod q-1).
 
     Returns (f1, f2) with f = f1 + f2 exactly and types per the ordered
     decomposition; raises SupportError at the first exponent violating
@@ -178,12 +177,11 @@ def split(f, k, q):
             raise SupportError(n)
     l_arg = f.type_residue if f.type_residue is not None else k // 2
     l1, l2 = decompose_gamma2(k, l_arg, q)
-    zero = RatK.from_value(f.field, 0)
     half = k // 2 % (q - 1)
-    c1 = [c if n % (q - 1) == half else zero for n, c in enumerate(f.coeffs)]
-    c2 = [zero if n % (q - 1) == half else c for n, c in enumerate(f.coeffs)]
-    f1 = USeries(f.field, c1, k, l1)
-    f2 = USeries(f.field, c2, k, l2)
+    t1 = {n: c for n, c in f.terms.items() if n % (q - 1) == half}
+    t2 = {n: c for n, c in f.terms.items() if n % (q - 1) != half}
+    f1 = USeries.from_terms(f.field, t1, k, l1, f.prec)
+    f2 = USeries.from_terms(f.field, t2, k, l2, f.prec)
     return f1, f2
 
 
@@ -263,7 +261,7 @@ def parse_useries(text, field, weight=0, type_residue=None, prec=None):
                 )
         if sgn < 0:
             coeff = -coeff
-        terms[n] = terms.get(n, RatK.from_value(field, 0)) + coeff
+        terms[n] = terms[n] + coeff if n in terms else coeff
     return USeries.from_terms(
         field, terms, weight=weight, type_residue=type_residue, prec=prec
     )

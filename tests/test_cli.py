@@ -115,6 +115,16 @@ def test_a_level_given_twice_exits_2(capsys, argv):
     assert embedded[0] == 0
 
 
+@pytest.mark.parametrize(
+    "group, message",
+    [("full", "empty polynomial"), ("gamma0:T", "the level is given twice")],
+)
+def test_an_empty_level_is_given_not_absent(capsys, group, message):
+    code, out, err = run(capsys, "cusps", "--q", "5", "--group", group, "--level", "")
+    assert (code, out) == (2, "")
+    assert message in err
+
+
 # ------------------------------------------------------------------- dims
 
 

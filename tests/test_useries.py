@@ -42,6 +42,14 @@ def test_series_construction_and_accessors(F5):
     assert USeries(F5, [], prec=7).prec == 7
 
 
+def test_coeff_rejects_exponents_outside_the_window(F5):
+    f = USeries.from_terms(F5, {2: 1}, prec=4)
+    assert f.coeff(0).is_zero() and f.coeff(3).is_zero()
+    for n in (-1, -2, 4, 5):
+        with pytest.raises(IndexError):
+            f.coeff(n)
+
+
 def test_series_type_residue_is_canonical(F5):
     f = USeries(F5, [1], weight=8, type_residue=6)
     assert f.type_residue == 2
@@ -206,5 +214,120 @@ def test_parse_useries_inverts_repr(F):
         g = parse_useries(repr(f), F)
         assert g.support() == f.support()
         assert all(g.coeff(n) == f.coeff(n) for n in f.support())
+
+    check()
+
+
+# ------------------------------------------------- against a dense model
+#
+# A series is stored as its support; the model is the plain list
+# a_0 .. a_{prec-1} that the operations are defined on.
+
+MODEL_FIELDS = pytest.mark.parametrize(
+    "F", [get_field(5), get_field(9)], ids=["5", "9"]
+)
+MODEL = settings(derandomize=True, max_examples=60, deadline=None)
+
+
+def model_coeffs(F):
+    polys = st.lists(st.integers(0, F.q - 1), max_size=3).map(
+        lambda cs: PolyA(F, [FqElem(F, c) for c in cs])
+    )
+    dens = polys.filter(lambda d: not d.is_zero())
+    return st.builds(RatK, polys, dens)
+
+
+def model_series(F, max_prec=24):
+    """(terms, prec): a term map, zero values included, inside the window."""
+    return st.integers(1, max_prec).flatmap(
+        lambda prec: st.tuples(
+            st.dictionaries(st.integers(0, prec - 1), model_coeffs(F), max_size=8),
+            st.just(prec),
+        )
+    )
+
+
+def dense(F, terms, prec):
+    zero = RatK.from_value(F, 0)
+    return [terms.get(n, zero) for n in range(prec)]
+
+
+def agrees(f, model):
+    assert f.prec == len(model)
+    assert f.coeffs == tuple(model)
+    assert [f.coeff(n) for n in range(f.prec)] == model
+    assert f.support() == tuple(n for n, c in enumerate(model) if not c.is_zero())
+    assert f.is_zero() == all(c.is_zero() for c in model)
+
+
+@MODEL_FIELDS
+def test_construction_agrees_with_the_dense_model(F):
+    @MODEL
+    @given(model_series(F))
+    def check(series):
+        terms, prec = series
+        model = dense(F, terms, prec)
+        f = USeries.from_terms(F, terms, prec=prec)
+        agrees(f, model)
+        # the list constructor and descending keys build the same series
+        g = USeries(F, model)
+        h = USeries.from_terms(F, dict(sorted(terms.items(), reverse=True)), prec=prec)
+        assert f == g == h
+        assert hash(f) == hash(g) == hash(h)
+        assert f != USeries.from_terms(F, terms, prec=prec + 1)
+        assert list(f.terms) == sorted(f.terms)
+
+    check()
+
+
+@MODEL_FIELDS
+def test_addition_agrees_with_the_dense_model(F):
+    @MODEL
+    @given(model_series(F), model_series(F))
+    def check(left, right):
+        f = USeries.from_terms(F, left[0], prec=left[1])
+        g = USeries.from_terms(F, right[0], prec=right[1])
+        a, b = dense(F, *left), dense(F, *right)
+        agrees(f + g, [x + y for x, y in zip(a, b)])
+        # cancellation to zero, also against a longer series
+        minus_f = USeries.from_terms(F, {n: -c for n, c in left[0].items()}, prec=60)
+        total = f + minus_f
+        assert total.is_zero() and total.support() == () and repr(total) == "0"
+        assert total == USeries(F, [], prec=f.prec)
+
+    check()
+
+
+@MODEL_FIELDS
+def test_scaling_agrees_with_the_dense_model(F):
+    @MODEL
+    @given(model_series(F), st.integers(1, F.q - 1))
+    def check(series, code):
+        alpha = FqElem(F, code)
+        inv = alpha.inverse()
+        model = [c * inv**n for n, c in enumerate(dense(F, *series))]
+        agrees(scale_u(USeries.from_terms(F, series[0], prec=series[1]), alpha), model)
+
+    check()
+
+
+@MODEL_FIELDS
+def test_split_agrees_with_the_dense_model(F):
+    q = F.q
+
+    @MODEL
+    @given(model_series(F, max_prec=40), st.integers(0, 10))
+    def check(series, half_k):
+        k = 2 * half_k
+        terms = {n: c for n, c in series[0].items() if (2 * n - k) % (q - 1) == 0}
+        prec = series[1]
+        f = USeries.from_terms(F, terms, weight=k, prec=prec)
+        zero = RatK.from_value(F, 0)
+        model = dense(F, terms, prec)
+        in_first = [n % (q - 1) == half_k % (q - 1) for n in range(prec)]
+        f1, f2 = split(f, k, q)
+        agrees(f1, [c if first else zero for c, first in zip(model, in_first)])
+        agrees(f2, [zero if first else c for c, first in zip(model, in_first)])
+        assert f1 + f2 == f and hash(f1 + f2) == hash(f)
 
     check()
