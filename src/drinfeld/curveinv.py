@@ -42,7 +42,6 @@ from .ffarith import (
     RatK,
     WorkBoundError,
     _poly,
-    poly_ext_gcd,
 )
 
 ELLIPTIC_BOX_LIMIT = 500_000
@@ -177,9 +176,9 @@ def _mod_n_generators(G, res):
     F_p-basis a_j T^i of A/N (a_j the element of code p^j); one diagonal
     matrix whose determinant generates the allowed determinant subgroup;
     and for gamma0 and the full group the torus (r, 0; 0, r^-1) for r over
-    a generating set of (A/N)^x.  That set is found by walking the units in
-    code order and keeping r when it is not yet in the subgroup the kept
-    ones generate.
+    a generating set of (A/N)^x, r^-1 read off the multiplication table of
+    r.  That set is found by walking the units in code order and keeping r
+    when it is not yet in the subgroup the kept ones generate.
     """
     N = res.N
     field = N.field
@@ -206,13 +205,14 @@ def _mod_n_generators(G, res):
         if G.family == "gamma1":
             gens.append((one, zero, zero, delta))
         else:
-            span = {res.code(one)}
+            unit = res.code(one)
+            span = {unit}
             for r, f in enumerate(res.polys):
                 if r in span or res.gcds[r] != one:
                     continue
-                gens.append((f, zero, zero, poly_ext_gcd(f, N)[1] % N))
-                # add the cosets f^k * span until f^k lies in span
                 mul = table(f)
+                gens.append((f, zero, zero, res.polys[mul.index(unit)]))
+                # add the cosets f^k * span until f^k lies in span
                 coset = list(span)
                 while True:
                     coset = [mul[s] for s in coset]

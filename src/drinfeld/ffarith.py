@@ -752,7 +752,11 @@ class LaurentKInf:
 # polynomial text grammar
 
 
-def _tokenize(src):
+_POLY_TOKENS = "aT^*+-"
+
+
+def _tokenize(src, alphabet=_POLY_TOKENS):
+    """(kind, value, position) triples ending in "end"; whitespace separates tokens."""
     tokens = []
     i = 0
     while i < len(src):
@@ -760,14 +764,14 @@ def _tokenize(src):
         if ch.isspace():
             i += 1
             continue
-        if ch.isdigit():
+        if ch.isdecimal():
             j = i
-            while j < len(src) and src[j].isdigit():
+            while j < len(src) and src[j].isdecimal():
                 j += 1
             tokens.append(("int", int(src[i:j]), i))
             i = j
             continue
-        if ch in "aT^*+-":
+        if ch in alphabet:
             tokens.append((ch, ch, i))
             i += 1
             continue
@@ -776,37 +780,42 @@ def _tokenize(src):
     return tokens
 
 
-def parse_poly(src, field):
-    """Parse polynomial text like "4*T+3", "T^2+1", or "a^2*T+a" into a PolyA.
+class _TextReader:
+    """A cursor over the tokens of one text, with the polynomial term rules.
 
-    Terms are joined by + or -.  Within a term, factors separated by * may be
-    integer literals 0..p-1, the field generator a (with optional ^k, only
-    when e > 1), or T (with optional ^k).  A term of degree above
-    POLY_DEG_MAX is rejected before any coefficients are built.
+    The series grammar in `useries` reads its text with the same reader,
+    given an alphabet that adds u and parentheses, and the same `sum`.
     """
-    tokens = _tokenize(src)
-    pos = 0
 
-    def peek():
-        return tokens[pos]
+    def __init__(self, src, field, alphabet=_POLY_TOKENS):
+        self.tokens = _tokenize(src, alphabet)
+        self.pos = 0
+        self.field = field
 
-    def advance():
-        nonlocal pos
-        tok = tokens[pos]
-        pos += 1
+    def peek(self, ahead=0):
+        return self.tokens[self.pos + ahead][0]
+
+    def advance(self):
+        tok = self.tokens[self.pos]
+        self.pos += 1
         return tok
 
-    def parse_exponent():
-        if peek()[0] != "^":
-            return 1
-        advance()
-        kind, value, at = advance()
-        if kind != "int":
-            raise ParseError("expected integer exponent", at)
-        return value
+    def expect(self, kind, message):
+        """Consume and return a token of `kind`, or raise `message` at the next token."""
+        tok = self.advance()
+        if tok[0] != kind:
+            raise ParseError(message, tok[2])
+        return tok
 
-    def parse_factor():
-        kind, value, at = advance()
+    def exponent(self):
+        if self.peek() != "^":
+            return 1
+        self.advance()
+        return self.expect("int", "expected integer exponent")[1]
+
+    def factor(self):
+        field = self.field
+        kind, value, at = self.advance()
         if kind == "int":
             if value >= field.p:
                 raise ParseError(
@@ -816,17 +825,18 @@ def parse_poly(src, field):
         if kind == "a":
             if field.e == 1:
                 raise ParseError("symbol 'a' is only valid for non-prime q", at)
-            return field.gen ** parse_exponent(), 0
+            return field.gen ** self.exponent(), 0
         if kind == "T":
-            return field.one, parse_exponent()
+            return field.one, self.exponent()
         raise ParseError("expected a coefficient, 'a', or 'T'", at)
 
-    def parse_term():
-        at = peek()[2]
-        coeff, texp = parse_factor()
-        while peek()[0] == "*":
-            advance()
-            c2, e2 = parse_factor()
+    def term(self):
+        """A product of factors, as (degree in T, coefficient); stops before '*u'."""
+        at = self.tokens[self.pos][2]
+        coeff, texp = self.factor()
+        while self.peek() == "*" and self.peek(1) != "u":
+            self.advance()
+            c2, e2 = self.factor()
             coeff = coeff * c2
             texp += e2
         if texp > POLY_DEG_MAX:
@@ -835,33 +845,49 @@ def parse_poly(src, field):
                 % (texp, POLY_DEG_MAX),
                 at,
             )
-        return coeff, texp
+        return texp, coeff
 
-    acc = {}
-    sign = field.one
-    kind, _, at = peek()
-    if kind in ("+", "-"):
-        advance()
-        if kind == "-":
-            sign = -field.one
-    elif kind == "end":
-        raise ParseError("empty polynomial", at)
-    while True:
-        coeff, texp = parse_term()
-        acc[texp] = acc.get(texp, field.zero) + sign * coeff
-        kind, _, at = advance()
-        if kind == "end":
-            break
-        if kind == "+":
-            sign = field.one
-        elif kind == "-":
-            sign = -field.one
-        else:
-            raise ParseError("expected '+' or '-' between terms", at)
-    if not acc:
-        return PolyA.zero(field)
-    deg = max(acc)
-    return PolyA(field, [acc.get(i, field.zero) for i in range(deg + 1)])
+    def sum(self, term):
+        """[+|-] term {(+|-) term}, as the dict key -> sum of the values.
+
+        `term(reader)` returns one term's (key, value); a minus sign negates
+        the value.  Stops at the first token after a term that is not + or -.
+        """
+        acc = {}
+        sign = self.advance()[0] if self.peek() in ("+", "-") else "+"
+        while True:
+            key, value = term(self)
+            value = -value if sign == "-" else value
+            acc[key] = acc[key] + value if key in acc else value
+            if self.peek() not in ("+", "-"):
+                return acc
+            sign = self.advance()[0]
+
+    def poly(self):
+        """A sum of terms, as a PolyA."""
+        acc = self.sum(_TextReader.term)
+        return PolyA(self.field, [acc.get(i, self.field.zero) for i in range(max(acc) + 1)])
+
+    def whole(self, rule, what):
+        """Read the whole text with `rule`; blank text is an empty `what`."""
+        if self.peek() == "end":
+            raise ParseError("empty %s" % what, self.tokens[self.pos][2])
+        value = rule(self)
+        self.expect("end", "expected '+' or '-' between terms")
+        return value
+
+
+def parse_poly(src, field):
+    """Parse polynomial text like "4*T+3", "T^2+1", or "a^2*T+a" into a PolyA.
+
+    Terms are joined by + or -, with an optional sign in front.  Within a
+    term, factors separated by * may be integer literals 0..p-1, the field
+    generator a (with optional ^k, only when e > 1), or T (with optional
+    ^k).  Whitespace separates tokens and is otherwise ignored, so "1 2" is
+    two terms without an operator and is rejected.  A term of degree above
+    POLY_DEG_MAX is rejected before any coefficients are built.
+    """
+    return _TextReader(src, field).whole(_TextReader.poly, "polynomial")
 
 
 def format_poly(poly):
@@ -963,20 +989,3 @@ def quad_irreducible_kinf(b, c, prec=DEFAULT_PREC):
     if prec < 2:
         raise PrecisionError("need at least 2 coefficients")
     return disc.valuation() % 2 != 0 or not is_square_fq(disc.num.leading_coeff())
-
-
-def poly_ext_gcd(a, b):
-    """Extended gcd in A: returns (g, s, t) with g monic and s*a + t*b = g."""
-    field = a.field
-    r0, r1 = a, b
-    s0, s1 = PolyA.one(field), PolyA.zero(field)
-    t0, t1 = PolyA.zero(field), PolyA.one(field)
-    while not r1.is_zero():
-        quo, rem = divmod(r0, r1)
-        r0, r1 = r1, rem
-        s0, s1 = s1, s0 - quo * s1
-        t0, t1 = t1, t0 - quo * t1
-    if r0.is_zero():
-        return r0, s0, t0
-    x = field.inv(r0.coeffs[-1])
-    return _scaled(r0, x), _scaled(s0, x), _scaled(t0, x)

@@ -12,9 +12,7 @@ named form's coefficients are computed.
 
 from __future__ import annotations
 
-import re
-
-from .ffarith import ParseError, RatK, parse_poly
+from .ffarith import _POLY_TOKENS, ParseError, PolyA, RatK, _poly, _TextReader
 from .weights import decompose_gamma2
 
 DEFAULT_USERIES_PREC = 64
@@ -185,83 +183,52 @@ def split(f, k, q):
     return f1, f2
 
 
-def _strip_parens(text):
-    while text.startswith("(") and text.endswith(")"):
-        depth = 0
-        ok = True
-        for i, ch in enumerate(text):
-            if ch == "(":
-                depth += 1
-            elif ch == ")":
-                depth -= 1
-                if depth == 0 and i != len(text) - 1:
-                    ok = False
-                    break
-        if not ok:
-            break
-        text = text[1:-1]
-    return text
+def _series_term(reader):
+    """term := u[^n] | coeff [*u[^n]], as (n, coefficient as a PolyA)."""
+    if reader.peek() == "u":
+        coeff = PolyA.one(reader.field)
+    else:
+        coeff = _coefficient(reader)
+        if reader.peek() != "*":
+            return 0, coeff
+        reader.advance()
+    at = reader.expect("u", "expected 'u' after '*'")[2]
+    n = reader.exponent()
+    if n > USERIES_EXP_MAX:
+        raise ParseError(
+            "exponent %d exceeds the supported maximum USERIES_EXP_MAX = %d"
+            % (n, USERIES_EXP_MAX),
+            at,
+        )
+    return n, coeff
 
 
-_TERM_RE = re.compile(r"(?:(?P<c>.+)\*)?u(?:\^(?P<e>[0-9]+))?$")
+def _coefficient(reader):
+    """A product of factors, or a polynomial in (redundant outer) parentheses."""
+    depth = 0
+    while reader.peek() == "(":
+        reader.advance()
+        depth += 1
+    if not depth:
+        texp, c = reader.term()
+        return _poly(reader.field, [0] * texp + [c.code])
+    inner = reader.poly()
+    for _ in range(depth):
+        reader.expect(")", "expected ')'")
+    return inner
 
 
 def parse_useries(text, field, weight=0, type_residue=None, prec=None):
-    """Parse a sum of c*u^n terms; coefficients use the polynomial grammar.
+    """Parse terms u^n, c*u^n and c joined by + or -, with an optional leading sign.
 
-    Examples: "u^2+3*u^4", "(T+1)*u - 2", "0".  An exponent above
-    USERIES_EXP_MAX is rejected before any coefficient list is built.
+    A coefficient c is a product of polynomial factors ("3", "a^2*T") or a
+    polynomial in parentheses ("(T+1)"); a * must stand between c and u.
+    Whitespace separates tokens, as in `parse_poly`.  Examples: "u^2+3*u^4",
+    "(T+1)*u - 2", "0".  An exponent above USERIES_EXP_MAX is rejected
+    before any coefficient list is built.
     """
-    src = text.replace(" ", "")
-    if not src:
-        raise ParseError("empty series", 0)
-    pieces = []  # (sign, chunk)
-    depth = 0
-    sign = 1
-    start = 0
-    if src[0] in "+-":
-        sign = -1 if src[0] == "-" else 1
-        start = 1
-    cur = start
-    for i in range(start, len(src)):
-        ch = src[i]
-        if ch == "(":
-            depth += 1
-        elif ch == ")":
-            depth -= 1
-            if depth < 0:
-                raise ParseError("unbalanced parentheses", i)
-        elif ch in "+-" and depth == 0:
-            pieces.append((sign, src[cur:i]))
-            sign = -1 if ch == "-" else 1
-            cur = i + 1
-    if depth != 0:
-        raise ParseError("unbalanced parentheses", len(src))
-    pieces.append((sign, src[cur:]))
-    terms = {}
-    for sgn, chunk in pieces:
-        if not chunk:
-            raise ParseError("empty term", 0)
-        m = _TERM_RE.fullmatch(chunk)
-        if m is None:
-            coeff = RatK(parse_poly(_strip_parens(chunk), field))
-            n = 0
-        else:
-            ctext = m.group("c")
-            if ctext is None:
-                coeff = RatK.from_value(field, 1)
-            else:
-                coeff = RatK(parse_poly(_strip_parens(ctext), field))
-            n = int(m.group("e")) if m.group("e") is not None else 1
-            if n > USERIES_EXP_MAX:
-                raise ParseError(
-                    "exponent %d exceeds the supported maximum USERIES_EXP_MAX = %d"
-                    % (n, USERIES_EXP_MAX),
-                    0,
-                )
-        if sgn < 0:
-            coeff = -coeff
-        terms[n] = terms[n] + coeff if n in terms else coeff
+    reader = _TextReader(text, field, _POLY_TOKENS + "u()")
+    terms = reader.whole(lambda r: r.sum(_series_term), "series")
     return USeries.from_terms(
         field, terms, weight=weight, type_residue=type_residue, prec=prec
     )

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import contextlib
+import io
 import json
 import os
 import subprocess
@@ -9,6 +11,8 @@ import sys
 import time
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import drinfeld
 from drinfeld import Parity, cli
@@ -295,6 +299,18 @@ def test_split_support_violation_exits_4(capsys):
     assert "unsupported exponent 1" in err
     code, _, _ = run(capsys, "split", "--q", "5", "--k", "3", "u")
     assert code == 2
+
+
+def test_split_reads_whitespace_as_a_token_separator(capsys):
+    # With the spaces deleted first, "1 2*u^2" would print 12*u^2 with
+    # exit 0, and "u^1 0" would exit 4 on the exponent 10.
+    for series in ("1 2*u^2", "u^1 0"):
+        code, out, err = run(capsys, "split", "--q", "13", "--k", "4", series)
+        assert (code, out) == (2, "")
+        assert "expected '+' or '-' between terms" in err
+    code, out, _ = run(capsys, "split", "--q", "5", "--k", "4", "u^2\t+ 3 * u^4")
+    assert code == 0
+    assert out == run(capsys, "split", "--q", "5", "--k", "4", "u^2+3*u^4")[1]
 
 
 # ------------------------------------------------------------------ cusps
@@ -647,3 +663,76 @@ def test_a_closed_pipe_exits_1_without_a_traceback():
     _, err = proc.communicate(timeout=60)
     assert proc.returncode == 1
     assert b"Traceback" not in err
+
+
+# ------------------------------------------------------------------ fuzzing
+#
+# Random argv over every subcommand.  Each option takes a well-formed value
+# or, about one time in eight, a malformed one; None leaves the option out.
+# q is drawn from a few small fields and malformed values, so no large
+# field is built.
+
+_GROUP_OPTIONS = {
+    "--group": (
+        ["full", "full!one", "gamma0:T", "gamma0:T!sq", "gamma1:T+1", "gammaN:T",
+         "gamma1:2*T^2+1", "gamma0:T^2", "gamma0:T!idx2"],
+        [None, "", "gamma0", "gamma0:", "gammaN", "gamma0:T!", "bogus",
+         "gamma1:u", "gamma0:T^3", "gamma0:a*T"],
+    ),
+    # every well-formed group above names its level already
+    "--level": ([None], ["T", "T^2+1", "", "T^", "1 2", "(T)", "a*T+1", "T^3"]),
+}
+_BOUNDS = {"--deg-bound": ([None, "0"], ["-1", "99", "x"])}
+_WEIGHTS = (["0", "2", "4", "12", "40"], [None, "-2", "3", "262150", "x", ""])
+_PRESETS = (["Gamma0T_2", "GL2A_2"], [None, "bogus"])
+_COMMANDS = {
+    "parity": dict(_GROUP_OPTIONS, **_BOUNDS),
+    "ellsearch": dict(_GROUP_OPTIONS, **_BOUNDS),
+    "cusps": _GROUP_OPTIONS,
+    "dims": {"--preset": _PRESETS, "--k-max": _WEIGHTS},
+    "sectionring": {"--preset": _PRESETS, "--max-weight": _WEIGHTS},
+    "split": {
+        "--k": _WEIGHTS,
+        "": (  # the series, a positional argument
+            ["u^2+3*u^4", "(T+1)*u^2 - 2", "((a))*u^4", "u^2\t+u^4", "u", "0"],
+            [None, "1 2*u^2", "u^1 0", "(T+(1))*u^2", "u^4097", "", "-", "2u", "u*2"],
+        ),
+    },
+    "valence": {
+        "--k": _WEIGHTS,
+        "--v-inf": ([None, "0", "2"], ["-1", "x"]),
+        "--v-e": ([None, "0", "1"], ["-1", ""]),
+        "--v-other": ([None, "0,1", "2"], ["", "-1", "x", "1,,2"]),
+    },
+}
+_COMMON = {
+    "--q": (["3", "5", "9"], [None, "4", "1", "-3", "x", "", "65537", "1000000007"]),
+    # a modulus is only for q = 9, so it is counted as malformed
+    "--modulus": ([None], ["1,0,1", "2,1", "2,2,1", "1,1", "", "x"]),
+    "--format": ([None, "table", "json"], ["xml"]),
+}
+
+
+@st.composite
+def _argv(draw):
+    command = draw(st.sampled_from(sorted(_COMMANDS)))
+    argv = [command]
+    for flag, (valid, malformed) in sorted(dict(_COMMON, **_COMMANDS[command]).items()):
+        value = draw(st.sampled_from(malformed if draw(st.integers(0, 7)) == 7 else valid))
+        if value is not None:
+            argv += [flag, value] if flag else [value]
+    return argv
+
+
+def test_random_argv_exits_cleanly():
+    @settings(derandomize=True, max_examples=1200, deadline=None)
+    @given(_argv())
+    def check(argv):
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+            code = main(argv)
+        assert code in (0, 2, 3, 4), argv
+        if code:
+            assert out.getvalue() == "", argv
+
+    check()

@@ -28,7 +28,6 @@ from drinfeld import (
     parity,
     parse_group,
     parse_poly,
-    poly_ext_gcd,
 )
 from conftest import get_field, poly_sqrt
 
@@ -149,9 +148,10 @@ def _reference_generators(G, N):
     if G.family == "gamma1":
         return gens + [(one, zero, zero, delta) for delta in deltas]
     for r in res:
-        g, s, _ = poly_ext_gcd(r, N)
-        if g == one:
-            gens.append((r, zero, zero, s % N))
+        # the inverse of r mod N, found by trying every residue
+        inverse = next((s for s in res if (r * s) % N == one), None)
+        if inverse is not None:
+            gens.append((r, zero, zero, inverse))
     gens += [(delta, zero, zero, one) for delta in deltas]
     if G.family == "full":
         gens += [(one, zero, x, one) for x in nonzero]

@@ -19,7 +19,6 @@ from drinfeld import (
     is_square_kinf,
     laurent_expand,
     parse_poly,
-    poly_ext_gcd,
     quad_irreducible_kinf,
     sqrt_fq,
 )
@@ -322,19 +321,6 @@ def test_poly_sqrt_recovers_squares():
     assert poly_sqrt(PolyA.T(F5)) is None
     assert poly_sqrt(parse_poly("T^2+T", F5)) is None
     assert poly_sqrt(PolyA.zero(F5)).is_zero()
-
-
-def test_poly_ext_gcd_bezout():
-    rng = random.Random(SEED)
-    F7 = get_field(7)
-    for _ in range(60):
-        a = PolyA.from_ints(F7, [rng.randrange(7) for _ in range(rng.randrange(1, 6))])
-        b = PolyA.from_ints(F7, [rng.randrange(7) for _ in range(rng.randrange(1, 6))])
-        g, s, t = poly_ext_gcd(a, b)
-        assert s * a + t * b == g
-        if not g.is_zero():
-            assert g.coeffs[-1:] == (1,)  # monic
-            assert (a % g).is_zero() and (b % g).is_zero()
 
 
 # --- field construction ----------------------------------------------------

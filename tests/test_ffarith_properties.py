@@ -24,7 +24,6 @@ from drinfeld import (
     is_square_kinf,
     laurent_expand,
     parse_poly,
-    poly_ext_gcd,
     quad_irreducible_kinf,
     sqrt_fq,
 )
@@ -112,20 +111,6 @@ def test_divmod_invariant(F):
         quo, rem = divmod(a, b)
         assert quo * b + rem == a
         assert rem.degree < b.degree
-
-    check()
-
-
-@by_field
-def test_ext_gcd_bezout(F):
-    @SEEDED
-    @given(polys(F, 5), polys(F, 5))
-    def check(a, b):
-        g, s, t = poly_ext_gcd(a, b)
-        assert s * a + t * b == g
-        if not g.is_zero():
-            assert g.coeffs[-1:] == (1,)  # monic
-            assert (a % g).is_zero() and (b % g).is_zero()
 
     check()
 

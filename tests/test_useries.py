@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import re
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -20,6 +22,7 @@ from drinfeld import (
     scale_u,
     split,
 )
+from drinfeld.useries import USERIES_EXP_MAX
 from conftest import get_field
 
 
@@ -191,6 +194,43 @@ def test_parse_rejects_malformed_series(F5):
             parse_useries(bad, F5)
 
 
+def test_whitespace_separates_tokens(F5):
+    # Whitespace ends a token: deleted first, it would glue "T^2 2*u" into
+    # T^22*u and "1 2*u^2" into 12*u^2 (at q = 13).
+    for bad, F in (("T^2 2*u", F5), ("1 2*u^2", get_field(13)), ("u^1 0", F5)):
+        with pytest.raises(ParseError, match="expected '\\+' or '-' between terms"):
+            parse_useries(bad, F)
+    # every kind of whitespace, not only the space
+    assert parse_useries("u^2\t+u^4", F5) == parse_useries("u^2+u^4", F5)
+    assert parse_useries(" 3 * u ^ 4\n- ( T + 1 ) ", F5) == parse_useries("3*u^4-(T+1)", F5)
+
+
+def test_parse_error_positions_count_from_the_whole_text(F5):
+    # counted inside the coefficient alone, this position would read 2
+    with pytest.raises(ParseError) as info:
+        parse_useries("(T+(1))*u^2", F5)
+    assert info.value.pos == 3
+    with pytest.raises(ParseError) as info:
+        parse_useries("u + 3*u^4097", F5)
+    assert info.value.pos == 6
+
+
+def test_coefficient_forms(F5):
+    # a product of factors, or a polynomial in (redundant outer) parentheses
+    assert parse_useries("2*T^2*3*u", F5) == parse_useries("(T^2)*u", F5)
+    assert parse_useries("((T+1))*u^3", F5) == parse_useries("(T+1)*u^3", F5)
+    assert parse_useries("-(T-1)", F5) == parse_useries("1+4*T", F5)
+    for bad in ("2*(T+1)*u", "(T+1)*2*u", "((T)+1)*u", "(T)*(T)*u", "(u)", "u*2", "2u", "()"):
+        with pytest.raises(ParseError):
+            parse_useries(bad, F5)
+    # parentheses are counted, not recursed into
+    deep = 5000
+    f = parse_useries("(" * deep + "T" + ")" * deep + "*u", F5)
+    assert f == parse_useries("T*u", F5)
+    with pytest.raises(ParseError, match="expected '\\)'"):
+        parse_useries("(" * deep + "T" + ")" * (deep - 1), F5)
+
+
 def test_series_repr_formats(F5):
     assert repr(parse_useries("u^2+3*u^4", F5)) == "u^2 + 3*u^4"
     assert repr(parse_useries("(T+1)*u", F5)) == "(T+1)*u"
@@ -329,5 +369,137 @@ def test_split_agrees_with_the_dense_model(F):
         agrees(f1, [c if first else zero for c, first in zip(model, in_first)])
         agrees(f2, [zero if first else c for c, first in zip(model, in_first)])
         assert f1 + f2 == f and hash(f1 + f2) == hash(f)
+
+    check()
+
+
+# ------------------------------------------- against the former series parser
+#
+# REFERENCE ONLY: the series parser this module had before the series text
+# was read by the polynomial grammar.  It deleted the spaces, split the text
+# at + and - outside parentheses, stripped redundant outer parentheses from
+# each piece, matched c*u^n with a regular expression and read c with
+# parse_poly.  On whitespace-free text it accepts the same strings and reads
+# the same series as parse_useries.
+
+
+def _reference_strip_parens(text):
+    while text.startswith("(") and text.endswith(")"):
+        depth = 0
+        ok = True
+        for i, ch in enumerate(text):
+            if ch == "(":
+                depth += 1
+            elif ch == ")":
+                depth -= 1
+                if depth == 0 and i != len(text) - 1:
+                    ok = False
+                    break
+        if not ok:
+            break
+        text = text[1:-1]
+    return text
+
+
+_REFERENCE_TERM_RE = re.compile(r"(?:(?P<c>.+)\*)?u(?:\^(?P<e>[0-9]+))?$")
+
+
+def reference_parse_useries(text, field):
+    src = text.replace(" ", "")
+    if not src:
+        raise ParseError("empty series", 0)
+    pieces = []  # (sign, chunk)
+    depth = 0
+    sign = 1
+    start = 0
+    if src[0] in "+-":
+        sign = -1 if src[0] == "-" else 1
+        start = 1
+    cur = start
+    for i in range(start, len(src)):
+        ch = src[i]
+        if ch == "(":
+            depth += 1
+        elif ch == ")":
+            depth -= 1
+            if depth < 0:
+                raise ParseError("unbalanced parentheses", i)
+        elif ch in "+-" and depth == 0:
+            pieces.append((sign, src[cur:i]))
+            sign = -1 if ch == "-" else 1
+            cur = i + 1
+    if depth != 0:
+        raise ParseError("unbalanced parentheses", len(src))
+    pieces.append((sign, src[cur:]))
+    terms = {}
+    for sgn, chunk in pieces:
+        if not chunk:
+            raise ParseError("empty term", 0)
+        m = _REFERENCE_TERM_RE.fullmatch(chunk)
+        if m is None:
+            coeff = RatK(parse_poly(_reference_strip_parens(chunk), field))
+            n = 0
+        else:
+            ctext = m.group("c")
+            if ctext is None:
+                coeff = RatK.from_value(field, 1)
+            else:
+                coeff = RatK(parse_poly(_reference_strip_parens(ctext), field))
+            n = int(m.group("e")) if m.group("e") is not None else 1
+            if n > USERIES_EXP_MAX:
+                raise ParseError("exponent %d exceeds USERIES_EXP_MAX" % n, 0)
+        if sgn < 0:
+            coeff = -coeff
+        terms[n] = terms[n] + coeff if n in terms else coeff
+    return USeries.from_terms(field, terms)
+
+
+# Strings over u T a ( ) * ^ + - 0-9 with no whitespace, from two sources:
+# fragments joined at random, which are mostly malformed, and sums of
+# signed terms in the series grammar, where a missing sign between terms
+# or the symbol a at prime q still makes some malformed.
+_FRAGMENTS = st.lists(
+    st.sampled_from(
+        list("uTa()*^+-0123456789")
+        + ["u^", "*u", "*u^", "T^", "a^", "(T+1)", "((", "))", "2*", "4096", "4097", "00"]
+    ),
+    max_size=12,
+).map("".join)
+_PRODUCT = st.lists(
+    st.sampled_from(["0", "1", "2", "4", "T", "T^2", "T^0", "a", "a^3"]),
+    min_size=1,
+    max_size=3,
+).map("*".join)
+
+
+def _signed_sum(term):
+    signed = st.tuples(st.sampled_from(["", "+", "-"]), term).map("".join)
+    return st.lists(signed, min_size=1, max_size=4).map("".join)
+
+
+_COEFF = st.one_of(
+    _PRODUCT,
+    st.tuples(st.integers(1, 3), _signed_sum(_PRODUCT)).map(
+        lambda dp: "(" * dp[0] + dp[1] + ")" * dp[0]
+    ),
+)
+_UPART = st.sampled_from(["u", "u^0", "u^2", "u^13", "u^4096", "u^4097"])
+_TERMS = _signed_sum(st.one_of(_UPART, _COEFF, st.tuples(_COEFF, _UPART).map("*".join)))
+SERIES_TEXT = st.one_of(_FRAGMENTS, _TERMS)
+
+
+@MODEL_FIELDS
+def test_parse_agrees_with_the_former_series_parser(F):
+    @settings(derandomize=True, max_examples=1000, deadline=None)
+    @given(SERIES_TEXT)
+    def check(text):
+        try:
+            want = reference_parse_useries(text, F)
+        except ParseError:
+            with pytest.raises(ParseError):
+                parse_useries(text, F)
+            return
+        got = parse_useries(text, F)
+        assert (repr(got), got.prec) == (repr(want), want.prec)
 
     check()
