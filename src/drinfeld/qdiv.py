@@ -15,7 +15,14 @@ as relations once consequences of earlier relations are quotiented away.
 
 The walk over degrees is integer arithmetic: D's three coefficients are
 written over one common denominator, so floor(d*D), h^0 and the exponent
-offsets of each degree are three integer floor divisions.
+offsets of each degree are three integer floor divisions.  A reachability
+list of the generator-degree monoid (reach[d] when some reach[d - g])
+says which degrees have products at all; only those list their monomials.
+A product's vector depends only on its exponent pair (M, B), so a degree
+reduces one monomial per pair: a later monomial of the same pair has one
+dependency, found without a reduction, e_idx - e_first when the first
+monomial was independent and the first one's dependency, relabelled,
+when it was not.
 
 The row reduction is sparse and fraction-free: rows, their tracked
 expressions and the consequence rows of earlier relations are {column: int}
@@ -24,10 +31,13 @@ divided by their content.  Consequences of earlier relations lie in the
 kernel, and the kernel vectors of a degree are independent (each has its
 own dependent monomial), so once the consequences reach the kernel's
 dimension every remaining kernel vector is absorbed without being reduced.
-A Fraction is built in one place only, when a dependent monomial's integer
-dependency is divided by its own coefficient to give the reported relation;
-that relation is the unique dependency on the earlier independent
-monomials, so it does not depend on how the elimination scaled its rows.
+The shifts of one relation are independent (the polynomial ring is a
+domain), so when the first relation alone has that many shifts nothing
+is reduced at all.  A Fraction is built in one place only, when a
+dependent monomial's integer dependency is divided by its own coefficient
+to give the reported relation; that relation is the unique dependency on
+the earlier independent monomials, so it does not depend on how the
+elimination scaled its rows.
 """
 
 from __future__ import annotations
@@ -37,6 +47,7 @@ from collections import namedtuple
 from fractions import Fraction
 from heapq import heapify, heappop, heappush
 from math import comb, gcd, lcm
+from operator import add, mul
 
 from .ffarith import WorkBoundError
 
@@ -308,26 +319,16 @@ class _Rref:
 
 def _monomials(degrees, total):
     """Exponent tuples with sum(e_i * degrees_i) = total, lex descending."""
-    out = []
-
-    def rec(i, remaining, prefix):
-        step = degrees[i]
-        if i == len(degrees) - 1:
-            # the last exponent is forced
-            if remaining % step == 0:
-                out.append(tuple(prefix) + (remaining // step,))
-            return
-        for e in range(remaining // step, -1, -1):
-            prefix.append(e)
-            rec(i + 1, remaining - e * step, prefix)
-            prefix.pop()
-
-    rec(0, total, [])
-    return out
-
-
-def _pad(exps, n):
-    return exps + (0,) * (n - len(exps))
+    *head, last = degrees
+    level = [((), total)]  # (exponent prefix, degree left for the later generators)
+    for step in head:
+        level = [
+            (exps + (e,), rest - e * step)
+            for exps, rest in level
+            for e in range(rest // step, -1, -1)
+        ]
+    # the last exponent is forced
+    return [exps + (rest // last,) for exps, rest in level if rest % last == 0]
 
 
 def presentation(D, max_weight):
@@ -346,15 +347,16 @@ def presentation(D, max_weight):
     den = lcm(*(v.denominator for v in coeffs))
     nz, no, ni = (v.numerator * (den // v.denominator) for v in coeffs)
     gens = []
-    relations = []
+    degrees = []  # the generators' degrees
     relation_rows = []  # (degree, integer combination) for each relation
     logs = []
     budget = 0
+    reach = [True]  # reach[d]: some product of generators has degree d
     for d in range(1, max_weight // 2 + 1):
         a, b = d * nz // den, d * no // den
         dim_h0 = max(0, a + b + d * ni // den + 1)
-        degrees = [g.degree for g in gens]
-        monos = _monomials(degrees, d) if gens else []
+        reach.append(any([reach[d - g] for g in degrees]))
+        monos = _monomials(degrees, d) if reach[d] else []
         budget += (len(monos) + dim_h0) * max(1, dim_h0)
         if budget > PRESENTATION_WORK_BUDGET:
             raise WorkBoundError(
@@ -365,81 +367,71 @@ def presentation(D, max_weight):
         if dim_h0 == 0:
             if monos:
                 raise AssertionError("products found in an empty graded piece")
-            logs.append(
-                DegreeLog(2 * d, 0, 0, 0, 0, 0, (), ())
-            )
+            logs.append(DegreeLog(2 * d, 0, 0, 0, 0, 0, (), ()))
             continue
+        t_exps = [g.t_exp for g in gens]
+        s_exps = [g.s_exp for g in gens]
         span = _Rref()
         kernels = []  # (monomial index, integer dependency over monomial indices)
+        first = {}  # (t, s) exponent pair -> (first monomial, its dependency or None)
         for idx, exps in enumerate(monos):
-            t_total = sum(e * g.t_exp for e, g in zip(exps, gens))
-            s_total = sum(e * g.s_exp for e, g in zip(exps, gens))
-            m_exp = t_total + a
-            b_exp = s_total + b
+            pair = sum(map(mul, exps, t_exps)), sum(map(mul, exps, s_exps))
+            if pair in first:
+                # the same vector again: e_idx - e_j, or j's dependency with j renamed idx
+                j, dep = first[pair]
+                dep = {idx if k == j else k: v for k, v in dep.items()} if dep else {j: -1, idx: 1}
+                kernels.append((idx, dep))
+                continue
+            m_exp, b_exp = pair[0] + a, pair[1] + b
             if m_exp < 0 or b_exp < 0 or m_exp + b_exp >= dim_h0:
                 raise AssertionError("product left its graded piece")
-            vec = {
-                m_exp + i: (-1) ** (b_exp - i) * comb(b_exp, i) for i in range(b_exp + 1)
-            }
+            vec = {m_exp + i: (-1) ** (b_exp - i) * comb(b_exp, i) for i in range(b_exp + 1)}
             added, dep = span.try_add(vec, {idx: 1})
             if not added:
-                kernels.append((idx, {k: v for k, v in dep.items() if v}))
+                dep = {k: v for k, v in dep.items() if v}
+                kernels.append((idx, dep))
+            first[pair] = idx, None if added else dep
         span_rank = span.rank
-        # consequences of earlier relations at this degree
-        mono_index = {exps: i for i, exps in enumerate(monos)}
-        cons = _Rref()
-        for rel_degree, combo in relation_rows:
-            shift = d - rel_degree
-            if shift < 0:
-                continue
-            for mu in _monomials(degrees, shift):
-                vec = {}
-                for exps, coeff in combo:
-                    shifted = tuple(x + y for x, y in zip(_pad(exps, len(gens)), mu))
-                    vec[mono_index[shifted]] = coeff
-                cons.try_add(vec)
-        absorbed = 0
         new_rels = []
-        for idx, dep in kernels:
-            # cons lies in the kernel, of dimension len(kernels): at that rank it spans it
-            if cons.rank == len(kernels) or not cons.try_add(dep)[0]:
-                absorbed += 1
-                continue
-            keys = sorted(dep)
-            # the one place a Fraction is built: the kernel, normalised at idx
-            combo = tuple((monos[k], Fraction(dep[k], dep[idx])) for k in keys)
-            rel = Relation(weight=2 * d, combo=combo)
-            relations.append(rel)
-            new_rels.append(rel)
-            relation_rows.append((d, tuple((monos[k], dep[k]) for k in keys)))
+        # consequences of earlier relations lie in the kernel, of dimension len(kernels);
+        # one relation's shifts are independent (the polynomial ring is a domain), so
+        # when the first relation has that many shifts they span the kernel unreduced
+        if kernels and not (
+            relation_rows
+            and len(_monomials(degrees, d - relation_rows[0][0])) == len(kernels)
+        ):
+            mono_index = {exps: i for i, exps in enumerate(monos)}
+            pad = (0,) * len(gens)
+            cons = _Rref()
+            for rel_degree, combo in relation_rows:
+                padded = [(exps + pad[len(exps):], c) for exps, c in combo]
+                for mu in _monomials(degrees, d - rel_degree):
+                    cons.try_add({mono_index[tuple(map(add, exps, mu))]: c for exps, c in padded})
+            for idx, dep in kernels:
+                # at the kernel's dimension cons spans it: the rest is absorbed
+                if cons.rank == len(kernels) or not cons.try_add(dep)[0]:
+                    continue
+                keys = sorted(dep)
+                # the one place a Fraction is built: the kernel, normalised at idx
+                combo = tuple((monos[k], Fraction(dep[k], dep[idx])) for k in keys)
+                new_rels.append(Relation(weight=2 * d, combo=combo))
+                relation_rows.append((d, tuple((monos[k], dep[k]) for k in keys)))
         # fill the complement with Riemann-Roch sections
         new_gens = []
-        if span.rank < dim_h0:
-            for m in range(dim_h0):
-                added, _ = span.try_add({m: 1})
-                if added:
-                    gen = Generator(degree=d, t_exp=m - a, s_exp=-b)
-                    gens.append(gen)
-                    new_gens.append(gen)
-                if span.rank == dim_h0:
-                    break
+        for m in range(dim_h0):
+            if span.rank == dim_h0:
+                break
+            if span.try_add({m: 1})[0]:
+                new_gens.append(Generator(degree=d, t_exp=m - a, s_exp=-b))
+        if new_gens:
+            gens += new_gens
+            degrees += [d] * len(new_gens)
+            reach[d] = True
         if span.rank != dim_h0:
             raise AssertionError("section basis failed to fill the graded piece")
-        logs.append(
-            DegreeLog(
-                weight=2 * d,
-                h0=dim_h0,
-                monomial_count=len(monos),
-                span_rank=span_rank,
-                kernel_count=len(kernels),
-                absorbed_count=absorbed,
-                new_generators=tuple(new_gens),
-                new_relations=tuple(new_rels),
-            )
-        )
-    return RingPresentation(
-        generators=tuple(gens),
-        relations=tuple(relations),
-        truncation_weight=max_weight,
-        degree_logs=tuple(logs),
-    )
+        logs.append(DegreeLog(
+            2 * d, dim_h0, len(monos), span_rank, len(kernels),
+            len(kernels) - len(new_rels), tuple(new_gens), tuple(new_rels),
+        ))
+    relations = tuple(r for log in logs for r in log.new_relations)
+    return RingPresentation(tuple(gens), relations, max_weight, tuple(logs))

@@ -29,18 +29,23 @@ class VanishingProfile(namedtuple("VanishingProfile", "k v_inf v_e v_other")):
         return super().__new__(cls, k, v_inf, v_e, v_other)
 
 
+def _units(q):
+    """q - 1, the order of F_q^*, for q an odd prime power."""
+    if q < 3 or q % 2 == 0:
+        raise ValueError("q must be an odd prime power")
+    return q - 1
+
+
 def type_solutions(k, q):
     """All types l mod (q-1) with 2l = k (mod q-1).
 
     For odd k there are none (gcd(2, q-1) = 2 does not divide k); for even
     k exactly the pair {k/2, k/2 + (q-1)/2} mod (q-1).
     """
-    if q < 3 or q % 2 == 0:
-        raise ValueError("q must be an odd prime power")
+    m = _units(q)
     if k % 2 != 0:
         return set()
     half = k // 2
-    m = q - 1
     return {half % m, (half + m // 2) % m}
 
 
@@ -54,7 +59,7 @@ def decompose_gamma2(k, l2, q):
     """
     if k % 2 != 0:
         raise ValueError("no solutions for odd weight")
-    m = q - 1
+    m = _units(q)
     half_m = m // 2
     if (l2 - k // 2) % half_m != 0:
         raise ValueError("type %d incompatible with weight %d" % (l2, k))
@@ -69,7 +74,7 @@ def dim_gamma0T(k, l, q):
     Equals 1 + (k - 2l)/(q-1) when (q-1) | (k - 2l) and k >= 2l, else 0.
     The type l must be the canonical representative in [0, q-1).
     """
-    if not 0 <= l < q - 1:
+    if not 0 <= l < _units(q):
         raise ValueError("type must be reduced mod q-1")
     if k < 0:
         return 0
@@ -83,9 +88,6 @@ def valence_check(prof, q):
 
     sum(other orders) + v_e/(q+1) + v_inf/(q-1) = k/(q^2-1).
     """
-    lhs = (
-        Fraction(sum(prof.v_other))
-        + Fraction(prof.v_e, q + 1)
-        + Fraction(prof.v_inf, q - 1)
-    )
+    m = _units(q)
+    lhs = Fraction(sum(prof.v_other)) + Fraction(prof.v_e, q + 1) + Fraction(prof.v_inf, m)
     return lhs == Fraction(prof.k, q * q - 1)

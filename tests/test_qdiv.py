@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
+from heapq import heapify, heappop, heappush
+from math import comb, gcd, lcm
 
 import pytest
 
@@ -18,6 +20,14 @@ from drinfeld import (
     h0_weighted,
     log_canonical_divisor,
     presentation,
+)
+from drinfeld.qdiv import (
+    POINT_ORDER,
+    PRESENTATION_WORK_BUDGET,
+    DegreeLog,
+    Generator,
+    RingPresentation,
+    Relation,
 )
 from conftest import SEED, get_field
 
@@ -365,3 +375,269 @@ def test_presentation_of_a_free_ring_on_a_half_integer_divisor():
     assert pres.relations == ()
     for log in pres.degree_logs:
         assert log.h0 == 1 + (log.weight // 2) // 2
+
+
+# ------------------------------------------- the reference engine
+#
+# The engine as it stood before each degree reduced one monomial per
+# exponent pair, kept verbatim as a reference: every monomial is reduced,
+# _monomials recurses, and the consequences of every relation are reduced.
+# presentation must reproduce it exactly: generators, relation combos with
+# their Fractions, every DegreeLog, and the text of a budget refusal.
+
+
+class _RefRref:
+    """Incremental fraction-free sparse row reduction over Z with optional expression tracking.
+
+    Vectors are {column: nonzero int} dicts.  A stored row sits in the map
+    pivot -> (row, expr): its pivot is its smallest column, it is zero at
+    every pivot stored before it, and, when tracked, expr is an integer dict
+    over the caller's keys whose combination of inserted vectors is the row.
+    A new vector v is reduced by repeatedly eliminating its smallest column
+    p that is a stored pivot, cross-multiplying with that pivot's row r,
+    v <- (r[p]/g)*v - (v[p]/g)*r with g = gcd(v[p], r[p]); its expression
+    gets the same update, so every value stays an integer.  Rows only carry
+    columns at or after their pivot, so each step leaves v zero at p and
+    unchanged before it.  Before it is stored, a row and its expression are
+    divided by their common content; an untracked row is thus primitive.
+    """
+
+    def __init__(self):
+        self.rows = {}  # pivot -> (integer row dict, integer expr dict or None)
+
+    @property
+    def rank(self):
+        return len(self.rows)
+
+    def try_add(self, vec, expr=None):
+        """Insert the integer vector if independent.  Returns (added, residual expression).
+
+        For a dependent vector the residual expression is an integer
+        dependency among the inserted vectors.
+        """
+        rows = self.rows
+        vec = dict(vec)
+        expr = dict(expr) if expr is not None else None
+        todo = [k for k in vec if k in rows]
+        heapify(todo)
+        while todo:
+            piv = heappop(todo)
+            f = vec.get(piv)
+            if f is None:
+                continue  # a duplicate entry, or a column that cancelled
+            rvec, rexpr = rows[piv]
+            r = rvec[piv]
+            g = gcd(f, r)
+            a, b = r // g, f // g
+            if a != 1:
+                vec = {k: a * x for k, x in vec.items()}
+            for k, y in rvec.items():
+                x = vec.get(k)
+                if x is None:
+                    vec[k] = -b * y
+                    if k in rows:
+                        heappush(todo, k)
+                elif x == b * y:
+                    del vec[k]
+                else:
+                    vec[k] = x - b * y
+            if expr is not None and rexpr is not None:
+                if a != 1:
+                    expr = {k: a * v for k, v in expr.items()}
+                for k, v in rexpr.items():
+                    expr[k] = expr.get(k, 0) - b * v
+        if not vec:
+            return False, expr
+        c = gcd(*vec.values(), *expr.values()) if expr is not None else gcd(*vec.values())
+        if c != 1:
+            vec = {k: x // c for k, x in vec.items()}
+            if expr is not None:
+                expr = {k: v // c for k, v in expr.items()}
+        rows[min(vec)] = (vec, expr)
+        return True, expr
+
+
+def _ref_monomials(degrees, total):
+    """Exponent tuples with sum(e_i * degrees_i) = total, lex descending."""
+    out = []
+
+    def rec(i, remaining, prefix):
+        step = degrees[i]
+        if i == len(degrees) - 1:
+            # the last exponent is forced
+            if remaining % step == 0:
+                out.append(tuple(prefix) + (remaining // step,))
+            return
+        for e in range(remaining // step, -1, -1):
+            prefix.append(e)
+            rec(i + 1, remaining - e * step, prefix)
+            prefix.pop()
+
+    rec(0, total, [])
+    return out
+
+
+def _ref_pad(exps, n):
+    return exps + (0,) * (n - len(exps))
+
+
+def _reference_presentation(D, max_weight):
+    """Generators and relations of the section ring of D up to max_weight.
+
+    Internal degree d carries weight 2d.  Per degree: evaluate all products
+    of chosen generators of total degree d as vectors in H^0(floor(d*D)),
+    track kernel vectors, quotient them by shifts of earlier relations, add
+    Riemann-Roch basis sections (ascending index) until the span fills the
+    space, and log the exact rank bookkeeping.
+    """
+    if max_weight < 2 or max_weight % 2 != 0:
+        raise ValueError("max_weight must be an even integer >= 2")
+    # D = (nz(0) + no(1) + ni(inf)) / den, so floor(d*D) is three integer floors
+    coeffs = [D.coeff(pt) for pt in POINT_ORDER]
+    den = lcm(*(v.denominator for v in coeffs))
+    nz, no, ni = (v.numerator * (den // v.denominator) for v in coeffs)
+    gens = []
+    relations = []
+    relation_rows = []  # (degree, integer combination) for each relation
+    logs = []
+    budget = 0
+    for d in range(1, max_weight // 2 + 1):
+        a, b = d * nz // den, d * no // den
+        dim_h0 = max(0, a + b + d * ni // den + 1)
+        degrees = [g.degree for g in gens]
+        monos = _ref_monomials(degrees, d) if gens else []
+        budget += (len(monos) + dim_h0) * max(1, dim_h0)
+        if budget > PRESENTATION_WORK_BUDGET:
+            raise WorkBoundError(
+                "presentation work budget exceeded at weight %d: spent %d of"
+                " PRESENTATION_WORK_BUDGET = %d"
+                % (2 * d, budget, PRESENTATION_WORK_BUDGET)
+            )
+        if dim_h0 == 0:
+            if monos:
+                raise AssertionError("products found in an empty graded piece")
+            logs.append(
+                DegreeLog(2 * d, 0, 0, 0, 0, 0, (), ())
+            )
+            continue
+        span = _RefRref()
+        kernels = []  # (monomial index, integer dependency over monomial indices)
+        for idx, exps in enumerate(monos):
+            t_total = sum(e * g.t_exp for e, g in zip(exps, gens))
+            s_total = sum(e * g.s_exp for e, g in zip(exps, gens))
+            m_exp = t_total + a
+            b_exp = s_total + b
+            if m_exp < 0 or b_exp < 0 or m_exp + b_exp >= dim_h0:
+                raise AssertionError("product left its graded piece")
+            vec = {
+                m_exp + i: (-1) ** (b_exp - i) * comb(b_exp, i) for i in range(b_exp + 1)
+            }
+            added, dep = span.try_add(vec, {idx: 1})
+            if not added:
+                kernels.append((idx, {k: v for k, v in dep.items() if v}))
+        span_rank = span.rank
+        # consequences of earlier relations at this degree
+        mono_index = {exps: i for i, exps in enumerate(monos)}
+        cons = _RefRref()
+        for rel_degree, combo in relation_rows:
+            shift = d - rel_degree
+            if shift < 0:
+                continue
+            for mu in _ref_monomials(degrees, shift):
+                vec = {}
+                for exps, coeff in combo:
+                    shifted = tuple(x + y for x, y in zip(_ref_pad(exps, len(gens)), mu))
+                    vec[mono_index[shifted]] = coeff
+                cons.try_add(vec)
+        absorbed = 0
+        new_rels = []
+        for idx, dep in kernels:
+            # cons lies in the kernel, of dimension len(kernels): at that rank it spans it
+            if cons.rank == len(kernels) or not cons.try_add(dep)[0]:
+                absorbed += 1
+                continue
+            keys = sorted(dep)
+            # the one place a Fraction is built: the kernel, normalised at idx
+            combo = tuple((monos[k], Fraction(dep[k], dep[idx])) for k in keys)
+            rel = Relation(weight=2 * d, combo=combo)
+            relations.append(rel)
+            new_rels.append(rel)
+            relation_rows.append((d, tuple((monos[k], dep[k]) for k in keys)))
+        # fill the complement with Riemann-Roch sections
+        new_gens = []
+        if span.rank < dim_h0:
+            for m in range(dim_h0):
+                added, _ = span.try_add({m: 1})
+                if added:
+                    gen = Generator(degree=d, t_exp=m - a, s_exp=-b)
+                    gens.append(gen)
+                    new_gens.append(gen)
+                if span.rank == dim_h0:
+                    break
+        if span.rank != dim_h0:
+            raise AssertionError("section basis failed to fill the graded piece")
+        logs.append(
+            DegreeLog(
+                weight=2 * d,
+                h0=dim_h0,
+                monomial_count=len(monos),
+                span_rank=span_rank,
+                kernel_count=len(kernels),
+                absorbed_count=absorbed,
+                new_generators=tuple(new_gens),
+                new_relations=tuple(new_rels),
+            )
+        )
+    return RingPresentation(
+        generators=tuple(gens),
+        relations=tuple(relations),
+        truncation_weight=max_weight,
+        degree_logs=tuple(logs),
+    )
+
+
+def _outcome(engine, D, max_weight):
+    try:
+        return engine(D, max_weight)
+    except WorkBoundError as exc:
+        return "WorkBoundError: %s" % exc
+
+
+@pytest.mark.parametrize("chunk", range(4))
+def test_presentation_matches_the_reference_engine_on_random_divisors(chunk):
+    # a nonzero coefficient at 1 gives generators with s_exp != 0, so products
+    # of one exponent pair can follow a first monomial that was dependent
+    rng = random.Random(SEED + 10 + chunk)
+    nonzero = [n for n in range(-8, 9) if n]
+    for _ in range(25):
+        D = QDivisor(
+            {
+                Z: Fraction(rng.randint(-8, 8), rng.randint(1, 6)),
+                O: Fraction(rng.choice(nonzero), rng.randint(1, 6)),
+                I: Fraction(rng.randint(-8, 8), rng.randint(1, 6)),
+            }
+        )
+        expected = _outcome(_reference_presentation, D, 24)
+        assert _outcome(presentation, D, 24) == expected, D
+
+
+@pytest.mark.parametrize("q", [3, 5, 7, 9])
+@pytest.mark.parametrize("preset", ["GL2A_2", "Gamma0T_2"])
+def test_presentation_matches_the_reference_engine_on_the_presets(preset, q):
+    D = log_canonical_divisor(assemble_invariants(preset, get_field(q)))
+    for max_weight in (4 * (q + 1), 60, 200):
+        expected = _outcome(_reference_presentation, D, max_weight)
+        assert _outcome(presentation, D, max_weight) == expected, max_weight
+
+
+def test_refused_gamma0_walk_keeps_its_bookkeeping():
+    # the budget reads the monomial count, so the refusal pins it too
+    D = log_canonical_divisor(assemble_invariants("Gamma0T_2", get_field(3)))
+    logs = presentation(D, 36).degree_logs
+    assert sum(log.monomial_count for log in logs) == 1326
+    assert sum(log.h0 for log in logs) == 360
+    assert sum(log.kernel_count for log in logs) == 969
+    assert sum(log.absorbed_count for log in logs) == 968
+    for max_weight in (38, 44, 100):
+        with pytest.raises(WorkBoundError, match="weight 38: spent 56079"):
+            presentation(D, max_weight)

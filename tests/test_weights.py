@@ -118,3 +118,20 @@ def test_vanishing_orders_are_nonnegative(field, kwargs):
     # a pole is not a vanishing order: (0, -2, 3) would satisfy the formula
     with pytest.raises(ValueError, match=field):
         VanishingProfile(**kwargs)
+
+
+@pytest.mark.parametrize("q", [-1, 0, 1, 2, 4, 8])
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda q: type_solutions(4, q),
+        lambda q: decompose_gamma2(4, 0, q),
+        lambda q: dim_gamma0T(4, 0, q),
+        lambda q: valence_check(VanishingProfile(2), q),
+    ],
+    ids=["type_solutions", "decompose_gamma2", "dim_gamma0T", "valence_check"],
+)
+def test_weight_functions_refuse_q_that_is_not_an_odd_prime_power(call, q):
+    # q = 1 and q = 2 once divided by q - 1 = 0 or (q - 1) // 2 = 0
+    with pytest.raises(ValueError, match="q must be an odd prime power"):
+        call(q)
