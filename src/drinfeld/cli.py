@@ -7,8 +7,8 @@ or validation errors, 3 work-bound exhaustion, 4 support violations in
 series input.
 
 Each subcommand builds one result dict.  JSON output prints it under a
-fixed head ("schema": "drinfeld/1", "command", "q"); the table format
-prints lines rendered from that same dict, so both show the same data.
+fixed head ("schema": "drinfeld/1", "command", "q") with the module's own
+writer `_json`; the table format prints lines rendered from the same dict.
 
 `main` builds the argument parser on its first call and reuses it for every
 later call in the process; importing the module builds nothing.  The
@@ -31,7 +31,7 @@ from .curveinv import (
     elliptic_search,
     parity,
 )
-from .ffarith import Q_MAX, Fq, ParseError, WorkBoundError, check_field, format_poly
+from .ffarith import Q_MAX, Fq, ParseError, RatK, WorkBoundError, check_field, format_poly
 from .qdiv import h0_weighted, log_canonical_divisor, presentation
 from .useries import SupportError, parse_useries, split
 from .weights import VanishingProfile, dim_gamma0T, type_solutions, valence_check
@@ -51,8 +51,22 @@ def _modulus(args):
         raise ParseError("modulus must be comma-separated integers", 0)
 
 
-def _field(args):
-    return Fq(args.q, modulus=_modulus(args))
+def _json(x, pad="\n", _quote=json.encoder.encode_basestring_ascii):
+    """x as indent-2 JSON text, as the json module writes it (str, int, bool, None, list, dict)."""
+    if isinstance(x, str):
+        return _quote(x)
+    if x is None or x is True or x is False:
+        return "null" if x is None else "true" if x else "false"
+    if isinstance(x, int):
+        return int.__repr__(x)
+    inner = pad + "  "
+    if isinstance(x, dict):
+        items = [_quote(k) + ": " + _json(v, inner) for k, v in x.items()]
+        return "{" + inner + ("," + inner).join(items) + pad + "}" if items else "{}"
+    if isinstance(x, list):
+        items = [_json(v, inner) for v in x]
+        return "[" + inner + ("," + inner).join(items) + pad + "]" if items else "[]"
+    raise TypeError("cannot write %s as JSON" % type(x).__name__)
 
 
 def _emit(args, result, table):
@@ -60,28 +74,30 @@ def _emit(args, result, table):
     that `table` renders from the same dict."""
     if args.format == "json":
         payload = {"schema": SCHEMA, "command": args.command, "q": args.q, **result}
-        print(json.dumps(payload, indent=2))
+        print(_json(payload))
     else:
         for line in table(result):
             print(line)
     return 0
 
 
-def _group_of(args, field):
-    return parse_group(args.group, field, args.level)
+def _text(texts, x):
+    """PolyA or RatK text, formatted once per `texts`, the dict of one request."""
+    key = (x.num.coeffs, x.den.coeffs) if isinstance(x, RatK) else x.coeffs
+    return texts[key] if key in texts else texts.setdefault(key, repr(x))
 
 
-def _witness_payload(field, w):
+def _witness_payload(field, w, texts):
     g = w.gamma
     return {
         "matrix": [
-            [format_poly(g.a), format_poly(g.b)],
-            [format_poly(g.c), format_poly(g.d)],
+            [_text(texts, g.a), _text(texts, g.b)],
+            [_text(texts, g.c), _text(texts, g.d)],
         ],
         "det": field.format_elem(w.det),
         "det_is_square": w.det_is_square,
-        "quad_b": repr(w.quad_b),
-        "quad_c": repr(w.quad_c),
+        "quad_b": _text(texts, w.quad_b),
+        "quad_c": _text(texts, w.quad_c),
     }
 
 
@@ -95,15 +111,15 @@ def _square_text(w):
 
 
 def cmd_parity(args):
-    field = _field(args)
-    G = _group_of(args, field)
+    field = Fq(args.q, modulus=_modulus(args))
+    G = parse_group(args.group, field, args.level)
     p = parity(G, args.deg_bound, field)
     result = {
         "group": str(G),
         "deg_bound": args.deg_bound,
         "classification": "undecided" if p.kind == "NoWitnessFound" else p.kind,
         "bound": p.bound,
-        "witness": _witness_payload(field, p.witness) if p.witness else None,
+        "witness": _witness_payload(field, p.witness, {}) if p.witness else None,
     }
     return _emit(args, result, _parity_table)
 
@@ -160,7 +176,7 @@ def cmd_sectionring(args):
             "--max-weight %d exceeds the supported maximum SECTIONRING_WEIGHT_MAX = %d"
             % (args.max_weight, SECTIONRING_WEIGHT_MAX)
         )
-    field = _field(args)
+    field = Fq(args.q, modulus=_modulus(args))
     inv = assemble_invariants(args.preset, field)
     D = log_canonical_divisor(inv)
     pres = presentation(D, args.max_weight)
@@ -222,7 +238,7 @@ def _series_payload(f):
 def cmd_split(args):
     if args.k % 2 != 0:
         raise ValueError("--k must be even")
-    field = _field(args)
+    field = Fq(args.q, modulus=_modulus(args))
     f = parse_useries(args.series, field, weight=args.k)
     f1, f2 = split(f, args.k, field.q)
     result = {"k": args.k, "f1": _series_payload(f1), "f2": _series_payload(f2)}
@@ -235,8 +251,8 @@ def _split_table(r):
 
 
 def cmd_cusps(args):
-    field = _field(args)
-    G = _group_of(args, field)
+    field = Fq(args.q, modulus=_modulus(args))
+    G = parse_group(args.group, field, args.level)
     cs = cusps(G, field)
     result = {
         "group": str(G),
@@ -280,14 +296,15 @@ def _valence_table(r):
 
 
 def cmd_ellsearch(args):
-    field = _field(args)
-    G = _group_of(args, field)
+    field = Fq(args.q, modulus=_modulus(args))
+    G = parse_group(args.group, field, args.level)
     ws = elliptic_search(G, args.deg_bound, field)
+    texts = {}
     result = {
         "group": str(G),
         "deg_bound": args.deg_bound,
         "count": len(ws),
-        "witnesses": [_witness_payload(field, w) for w in ws],
+        "witnesses": [_witness_payload(field, w, texts) for w in ws],
     }
     return _emit(args, result, _ellsearch_table)
 

@@ -311,7 +311,7 @@ def _witness_blocks(G, deg_bound, field):
         sets, keyed on the coefficients of t;
       * `products` maps the coefficients of degree >= 1 of b*c, for every
         b of degree <= deg_bound and every c of the box, to the list of
-        (constant term of b*c, b, c).
+        [constant term of b*c, b, c, -b/c once a witness has needed it].
     As ad - bc = delta is a constant, ad and bc agree in degree >= 1: the
     candidates for a given (a, d) are one lookup on the degree >= 1 part of
     ad, and delta = (ad)_0 - (bc)_0, which is then the determinant of the
@@ -353,7 +353,7 @@ def _witness_blocks(G, deg_bound, field):
     for c in c_vals:
         for b in polys:
             bc = (b * c).coeffs or (0,)
-            products.setdefault(bc[1:], []).append((bc[0], b, c))
+            products.setdefault(bc[1:], []).append([bc[0], b, c, None])
     a_vals = sorted(a_vals, key=PolyA.sort_key)
     return (_a_block(a, polys, dets, rows, products) for a in a_vals)
 
@@ -376,16 +376,19 @@ def _a_block(a, d_vals, dets, rows, products):
             continue
         ad = (a * d).coeffs or (0,)
         d_minus_a = d - a
-        for bc0, b, c in products.get(ad[1:], ()):
+        for entry in products.get(ad[1:], ()):
+            bc0, b, c, quad_c = entry
             delta = sub(ad[0], bc0)
             if delta not in allowed:
                 continue
+            if quad_c is None:
+                quad_c = entry[3] = RatK(-b, c)
             det = FqElem(field, delta)
             block.append(
                 EllipticWitness(
                     gamma=_mat2(a, b, c, d, det),
                     quad_b=RatK(d_minus_a, c),
-                    quad_c=RatK(-b, c),
+                    quad_c=quad_c,
                     det=det,
                     det_is_square=log[delta] % 2 == 0,
                 )

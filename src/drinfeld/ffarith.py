@@ -23,6 +23,7 @@ window and no valuation.
 from __future__ import annotations
 
 import itertools
+import math
 import operator
 
 DEFAULT_PREC = 32
@@ -51,13 +52,13 @@ def _factor_prime_power(q):
         raise ValueError("q must be an odd prime power >= 3")
     if q > Q_MAX:
         raise ValueError("q = %d exceeds the supported maximum %d" % (q, Q_MAX))
-    p = next(cand for cand in range(2, q + 1) if q % cand == 0)
-    e = 0
-    m = q
-    while m % p == 0:
-        m //= p
-        e += 1
-    if m != 1:
+    for p in range(2, math.isqrt(q) + 1):
+        if q % p == 0:
+            break
+    else:
+        p = q
+    e = round(math.log(q, p))  # the nearest exponent: p**e == q is tested next
+    if p**e != q:
         raise ValueError("q = %d is not a prime power" % q)
     if p == 2:
         raise ValueError("characteristic 2 is not supported")

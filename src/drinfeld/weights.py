@@ -12,6 +12,8 @@ from __future__ import annotations
 from collections import namedtuple
 from fractions import Fraction
 
+from .ffarith import _factor_prime_power
+
 
 class VanishingProfile(namedtuple("VanishingProfile", "k v_inf v_e v_other")):
     """Vanishing orders of a level-one form: at infinity, at the elliptic
@@ -33,6 +35,7 @@ def _units(q):
     """q - 1, the order of F_q^*, for q an odd prime power."""
     if q < 3 or q % 2 == 0:
         raise ValueError("q must be an odd prime power")
+    _factor_prime_power(q)
     return q - 1
 
 

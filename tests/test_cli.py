@@ -736,3 +736,70 @@ def test_random_argv_exits_cleanly():
             assert out.getvalue() == "", argv
 
     check()
+
+
+# ------------------------------------------------------------- JSON writer
+
+_JSON_SCALARS = (
+    st.text()
+    | st.sampled_from(['"', "\\", '\\"', "\n\t\x00\x1f\x7f", "é", " ", "😀", ""])
+    | st.integers()
+    | st.integers(min_value=-(10**40), max_value=10**40)
+    | st.booleans()
+    | st.none()
+)
+_JSON_VALUES = st.recursive(
+    _JSON_SCALARS,
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(), inner, max_size=4),
+    max_leaves=20,
+)
+
+
+def test_the_json_writer_writes_what_json_dumps_writes():
+    @settings(derandomize=True, max_examples=400, deadline=None)
+    @given(_JSON_VALUES)
+    def check(x):
+        assert cli._json(x) == json.dumps(x, indent=2)
+
+    check()
+
+
+def test_the_json_writer_keeps_bools_apart_from_ints():
+    x = {"t": True, "one": 1, "f": False, "zero": 0, "items": [True, 1, False, 0, None]}
+    assert cli._json(x) == json.dumps(x, indent=2)
+    assert json.loads(cli._json(x)) == x
+    kinds = [type(v) for v in json.loads(cli._json(x["items"]))]
+    assert kinds == [bool, int, bool, int, type(None)]
+
+
+def test_the_json_writer_refuses_other_types():
+    for x in (1.5, (1, 2), {1: "a"}):
+        with pytest.raises(TypeError):
+            cli._json(x)
+
+
+# ----------------------------------------------------- text per request
+
+
+def test_witness_text_is_formatted_per_request_not_per_process(capsys):
+    # the same codes print as different text under the two moduli of F_9,
+    # so text kept from an earlier request would show in a later one
+    def request(modulus):
+        return ["ellsearch", "--q", "9", "--modulus", modulus, "--group", "full",
+                "--format", "json"]
+
+    moduli = ["1,0,1", "2,1,1", "1,0,1"]
+    in_process = []
+    for modulus in moduli:
+        assert main(request(modulus)) == 0
+        in_process.append(capsys.readouterr().out)
+    alone = {}
+    for modulus in sorted(set(moduli)):
+        proc = subprocess.run(
+            [sys.executable, "-m", "drinfeld.cli", *request(modulus)],
+            env=src_env(), stdout=subprocess.PIPE, stderr=subprocess.DEVNULL, text=True,
+            check=True,
+        )
+        alone[modulus] = proc.stdout
+    assert alone["1,0,1"] != alone["2,1,1"]
+    assert in_process == [alone[m] for m in moduli]

@@ -355,6 +355,23 @@ def test_witnesses_satisfy_their_defining_invariants(q, modulus, descriptor):
         assert w.det_is_square == is_square_fq(w.det)
 
 
+# every family's product table at each deg_bound whose box fits
+# ELLIPTIC_BOX_LIMIT (deg_bound 1 does not at q = 9, nor for gamma0 at q = 5)
+@pytest.mark.parametrize(
+    "q, descriptor, deg_bound",
+    [(q, d, 0) for q in (3, 5, 9) for d in ("full", "gamma1:T", "gamma0:T")]
+    + [(3, d, 1) for d in ("full", "gamma1:T", "gamma0:T")]
+    + [(5, "full", 1), (5, "gamma1:T", 1)],
+)
+def test_quadratic_coefficients_read_from_the_product_table(q, descriptor, deg_bound):
+    F = get_field(q)
+    ws = elliptic_search(parse_group(descriptor, F), deg_bound, F)
+    assert ws
+    for w in ws:
+        g = w.gamma
+        assert (w.quad_b, w.quad_c) == (RatK(g.d - g.a, g.c), RatK(-g.b, g.c))
+
+
 def test_gamma1_witnesses_are_gamma0_witnesses():
     F = get_field(5)
     t = PolyA.T(F)

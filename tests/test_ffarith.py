@@ -22,6 +22,7 @@ from drinfeld import (
     quad_irreducible_kinf,
     sqrt_fq,
 )
+from drinfeld import ffarith
 from conftest import SEED, get_field, poly_sqrt
 
 
@@ -44,6 +45,18 @@ def test_field_axioms_exhaustive(q):
     for x in xs:
         if not x.is_zero():
             assert x * x.inverse() == one
+
+
+def test_prime_power_factoring_matches_brute_force():
+    # trial division stops at isqrt(q): a q with no divisor up to there is prime
+    odd_primes = [p for p in range(3, 201) if all(p % r for r in range(2, p))]
+    powers = {p**e: (p, e) for p in odd_primes for e in range(1, 8) if p**e <= 200}
+    for q in range(-2, 201):
+        if q in powers:
+            assert ffarith._factor_prime_power(q) == powers[q]
+        else:
+            with pytest.raises(ValueError):
+                ffarith._factor_prime_power(q)
 
 
 @pytest.mark.parametrize("q", [3, 5, 7, 9, 25])

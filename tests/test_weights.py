@@ -135,3 +135,21 @@ def test_weight_functions_refuse_q_that_is_not_an_odd_prime_power(call, q):
     # q = 1 and q = 2 once divided by q - 1 = 0 or (q - 1) // 2 = 0
     with pytest.raises(ValueError, match="q must be an odd prime power"):
         call(q)
+
+
+@pytest.mark.parametrize("q", [15, 21, 4])
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda q: type_solutions(4, q),
+        lambda q: decompose_gamma2(4, 2, q),
+        lambda q: dim_gamma0T(4, 2, q),
+        lambda q: valence_check(VanishingProfile(2), q),
+    ],
+    ids=["type_solutions", "decompose_gamma2", "dim_gamma0T", "valence_check"],
+)
+def test_weight_functions_refuse_composite_q_that_is_not_an_odd_prime_power(call, q):
+    # the q check is ffarith's: odd q = 15 and 21 once passed it, and
+    # type_solutions(4, 15) was {9, 2}
+    with pytest.raises(ValueError):
+        call(q)
