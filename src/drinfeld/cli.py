@@ -31,7 +31,16 @@ from .curveinv import (
     elliptic_search,
     parity,
 )
-from .ffarith import Q_MAX, Fq, ParseError, RatK, WorkBoundError, check_field, format_poly
+from .ffarith import (
+    Q_MAX,
+    Fq,
+    ParseError,
+    RatK,
+    WorkBoundError,
+    check_field,
+    format_poly,
+    parse_int,
+)
 from .qdiv import h0_weighted, log_canonical_divisor, presentation
 from .useries import SupportError, parse_useries, split
 from .weights import VanishingProfile, dim_gamma0T, type_solutions, valence_check
@@ -42,13 +51,18 @@ DIMS_K_MAX = 1000
 SECTIONRING_WEIGHT_MAX = 4 * (Q_MAX + 1)
 
 
+def _int_list(text, what):
+    """The comma-separated integers of an option value, each read by `parse_int`."""
+    message = "%s must be comma-separated integers" % what
+    out, pos = [], 0
+    for item in text.split(","):
+        out.append(parse_int(item, pos, message))
+        pos += len(item) + 1
+    return tuple(out)
+
+
 def _modulus(args):
-    if args.modulus is None:
-        return None
-    try:
-        return tuple(int(c) for c in args.modulus.split(","))
-    except ValueError:
-        raise ParseError("modulus must be comma-separated integers", 0)
+    return None if args.modulus is None else _int_list(args.modulus, "modulus")
 
 
 def _json(x, pad="\n", _quote=json.encoder.encode_basestring_ascii):
@@ -277,7 +291,7 @@ def cmd_valence(args):
     check_field(args.q, _modulus(args))  # reads only q: no field tables
     others = ()
     if args.v_other:
-        others = tuple(int(x) for x in args.v_other.split(","))
+        others = _int_list(args.v_other, "v_other")
     prof = VanishingProfile(
         k=args.k, v_inf=args.v_inf, v_e=args.v_e, v_other=others
     )

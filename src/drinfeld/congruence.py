@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from collections import namedtuple
 
-from .ffarith import FqElem, ParseError, PolyA, parse_poly
+from .ffarith import FqElem, ParseError, PolyA, parse_int, parse_poly
 
 FAMILIES = ("full", "gammaN", "gamma1", "gamma0")
 
@@ -66,23 +66,6 @@ class Mat2:
     def inverse(self):
         inv = self.det.inverse()
         return Mat2(self.d * inv, -self.b * inv, -self.c * inv, self.a * inv)
-
-    def sort_key(self):
-        return (
-            self.a.sort_key(),
-            self.b.sort_key(),
-            self.c.sort_key(),
-            self.d.sort_key(),
-        )
-
-    def __eq__(self, other):
-        return isinstance(other, Mat2) and self.entries() == other.entries()
-
-    def __hash__(self):
-        return hash(self.entries())
-
-    def __repr__(self):
-        return "(%s, %s; %s, %s)" % (self.a, self.b, self.c, self.d)
 
 
 def _mat2(a, b, c, d, det):
@@ -238,10 +221,8 @@ def parse_group(text, field, level_text=None):
         elif suffix == "one":
             det_index = field.q - 1
         elif suffix.startswith("idx"):
-            try:
-                det_index = int(suffix[3:])
-            except ValueError:
-                raise ParseError("malformed determinant suffix %r" % suffix, len(src))
+            message = "malformed determinant suffix %r" % suffix
+            det_index = parse_int(suffix[3:], len(src) + 4, message)
         else:
             raise ParseError("unknown determinant suffix %r" % suffix, len(src))
     if ":" in src:

@@ -6,7 +6,8 @@ recorded modulus; for prime q the code is the value.  `Fq` builds O(q)
 tables once (exp/log for a fixed generator and Zech logarithms for
 addition), so the arithmetic on codes is a table lookup, and q is capped at
 Q_MAX before any table is built.  Parsed polynomial text is capped at
-degree POLY_DEG_MAX before any coefficient list is built.
+degree POLY_DEG_MAX before any coefficient list is built, and every integer
+literal of the input at INT_DIGITS_MAX digits before it is converted.
 Elements of A are tuples of codes (lowest degree first, no trailing zeros),
 elements of K are kept in lowest terms with monic denominator, and elements
 of K_inf carry a finite window of Laurent coefficients in the uniformizer
@@ -29,6 +30,10 @@ import operator
 DEFAULT_PREC = 32
 Q_MAX = 65536
 POLY_DEG_MAX = 4096
+# A literal longer than this is refused with its position, before int() sees
+# it: far above any meaningful coefficient, exponent, order or index, and far
+# below the interpreter's own 4300-digit conversion limit.
+INT_DIGITS_MAX = 100
 
 
 class ParseError(ValueError):
@@ -199,18 +204,12 @@ class Fq:
             return "a"
         return "a^%d" % k
 
-    def __repr__(self):
-        return "Fq(%d)" % self.q
-
     def __eq__(self, other):
         return (
             isinstance(other, Fq)
             and self.q == other.q
             and self.modulus == other.modulus
         )
-
-    def __hash__(self):
-        return hash(("Fq", self.q, self.modulus))
 
 
 def _fp_irreducible(coeffs, p):
@@ -243,10 +242,6 @@ class FqElem:
         self.field = field
         self.code = code
 
-    @property
-    def coords(self):
-        return self.field.coords[self.code]
-
     def is_zero(self):
         return not self.code
 
@@ -274,9 +269,6 @@ class FqElem:
             return NotImplemented
         return FqElem(self.field, self.field.sub(self.code, o.code))
 
-    def __rsub__(self, other):
-        return (-self) + other
-
     def __neg__(self):
         return FqElem(self.field, self.field.neg(self.code))
 
@@ -292,15 +284,6 @@ class FqElem:
         if not self.code:
             raise ZeroDivisionError("inverse of zero")
         return FqElem(self.field, self.field.inv(self.code))
-
-    def __truediv__(self, other):
-        o = self._coerce(other)
-        if o is NotImplemented:
-            return NotImplemented
-        return self * o.inverse()
-
-    def __rtruediv__(self, other):
-        return self.inverse() * other
 
     def __pow__(self, n):
         if n < 0:
@@ -318,12 +301,6 @@ class FqElem:
             and self.field == other.field
             and self.code == other.code
         )
-
-    def __hash__(self):
-        return hash((self.field.q, self.code))
-
-    def __repr__(self):
-        return self.field.format_code(self.code)
 
 
 def _poly(field, coeffs):
@@ -430,9 +407,6 @@ class PolyA:
             return NotImplemented
         pairs = itertools.zip_longest(self.coeffs, o.coeffs, fillvalue=0)
         return _poly(self.field, list(itertools.starmap(self.field.sub, pairs)))
-
-    def __rsub__(self, other):
-        return (-self) + other
 
     def __neg__(self):
         return _poly(self.field, list(map(self.field.neg, self.coeffs)))
@@ -601,12 +575,6 @@ class RatK:
             return NotImplemented
         return RatK(self.num * o.den - o.num * self.den, self.den * o.den)
 
-    def __rsub__(self, other):
-        return (-self) + other
-
-    def __neg__(self):
-        return RatK(-self.num, self.den)
-
     def __mul__(self, other):
         o = self._coerce(other)
         if o is NotImplemented:
@@ -614,17 +582,6 @@ class RatK:
         return RatK(self.num * o.num, self.den * o.den)
 
     __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        o = self._coerce(other)
-        if o is NotImplemented:
-            return NotImplemented
-        if o.is_zero():
-            raise ZeroDivisionError("division by zero in K")
-        return RatK(self.num * o.den, self.den * o.num)
-
-    def __rtruediv__(self, other):
-        return self._coerce(other) / self
 
     def __eq__(self, other):
         if isinstance(other, (PolyA, FqElem, int)):
@@ -634,9 +591,6 @@ class RatK:
             and self.num == other.num
             and self.den == other.den
         )
-
-    def __hash__(self):
-        return hash((hash(self.num), hash(self.den)))
 
     def __repr__(self):
         if self.den.coeffs == (1,):
@@ -667,10 +621,6 @@ class LaurentKInf:
         self.val = val
         self.coeffs = tuple(coeffs)
 
-    @classmethod
-    def zero(cls, field):
-        return cls(field, None, [])
-
     def is_zero(self):
         return not self.coeffs
 
@@ -691,12 +641,12 @@ class LaurentKInf:
     def __mul__(self, other):
         if isinstance(other, FqElem):
             if other.is_zero():
-                return LaurentKInf.zero(self.field)
+                return LaurentKInf(self.field, None, ())
             return LaurentKInf(self.field, self.val, [c * other for c in self.coeffs])
         if not isinstance(other, LaurentKInf):
             return NotImplemented
         if self.is_zero() or other.is_zero():
-            return LaurentKInf.zero(self.field)
+            return LaurentKInf(self.field, None, ())
         out = []
         for k in range(min(len(self.coeffs), len(other.coeffs))):
             acc = self.field.zero
@@ -734,26 +684,32 @@ class LaurentKInf:
             and self.coeffs == other.coeffs
         )
 
-    def __hash__(self):
-        return hash((self.field.q, self.val, self.coeffs))
-
-    def __repr__(self):
-        if self.is_zero():
-            return "O(nothing)"
-        parts = []
-        for i, c in enumerate(self.coeffs[:8]):
-            if c.is_zero():
-                continue
-            parts.append("%r*s^%d" % (c, self.val + i))
-        tail = " + ..." if len(self.coeffs) > 8 else ""
-        return " + ".join(parts) + tail + "  [s = 1/T]"
-
 
 # ---------------------------------------------------------------------------
 # polynomial text grammar
 
 
 _POLY_TOKENS = "aT^*+-"
+
+
+def parse_int(text, pos, message="expected an integer"):
+    """The int written in `text`, which starts at position `pos` of the input.
+
+    `text` is decimal digits with an optional sign and surrounding
+    whitespace; anything else raises ParseError(message) at `pos`.  A
+    literal of more than INT_DIGITS_MAX digits is refused at its first digit.
+    """
+    body = text.strip()
+    digits = body.lstrip("+-")
+    if not digits.isdecimal() or len(body) - len(digits) > 1:
+        raise ParseError(message, pos)
+    if len(digits) > INT_DIGITS_MAX:
+        raise ParseError(
+            "integer literal of %d digits exceeds the supported maximum "
+            "INT_DIGITS_MAX = %d" % (len(digits), INT_DIGITS_MAX),
+            pos + text.index(digits),
+        )
+    return int(body)
 
 
 def _tokenize(src, alphabet=_POLY_TOKENS):
@@ -769,7 +725,7 @@ def _tokenize(src, alphabet=_POLY_TOKENS):
             j = i
             while j < len(src) and src[j].isdecimal():
                 j += 1
-            tokens.append(("int", int(src[i:j]), i))
+            tokens.append(("int", parse_int(src[i:j], i), i))
             i = j
             continue
         if ch in alphabet:
@@ -944,7 +900,7 @@ def laurent_expand(x, prec=DEFAULT_PREC):
     if not isinstance(x, RatK):
         raise TypeError("expected an element of K or A")
     if x.is_zero():
-        return LaurentKInf.zero(x.field)
+        return LaurentKInf(x.field, None, ())
     if prec < 1:
         raise PrecisionError("precision must be at least 1")
     field = x.field

@@ -91,33 +91,12 @@ class QDivisor:
     def degree(self):
         return sum(self._coeffs.values(), Fraction(0))
 
-    def __add__(self, other):
-        if not isinstance(other, QDivisor):
-            return NotImplemented
-        out = {pt: self.coeff(pt) + other.coeff(pt) for pt in POINT_ORDER}
-        return QDivisor(out)
-
-    def __sub__(self, other):
-        if not isinstance(other, QDivisor):
-            return NotImplemented
-        out = {pt: self.coeff(pt) - other.coeff(pt) for pt in POINT_ORDER}
-        return QDivisor(out)
-
-    def __neg__(self):
-        return QDivisor({pt: -v for pt, v in self._coeffs.items()})
-
     def __mul__(self, scalar):
         if not isinstance(scalar, (int, Fraction)):
             return NotImplemented
         return QDivisor({pt: v * scalar for pt, v in self._coeffs.items()})
 
     __rmul__ = __mul__
-
-    def __eq__(self, other):
-        return isinstance(other, QDivisor) and self._coeffs == other._coeffs
-
-    def __hash__(self):
-        return hash(self.items())
 
     def __repr__(self):
         if not self._coeffs:

@@ -30,7 +30,7 @@ class SupportError(ValueError):
 
 
 class USeries:
-    """Exact truncated series sum a_n u^n, 0 <= n < prec.
+    """Exact truncated series sum a_n u^n, 0 <= n < prec, built by `from_terms`.
 
     `terms` maps each exponent whose coefficient is nonzero to that
     coefficient, in ascending exponent order; `coeffs` is the dense tuple
@@ -39,43 +39,31 @@ class USeries:
 
     __slots__ = ("field", "terms", "prec", "weight", "type_residue")
 
-    def __init__(self, field, coeffs, weight=0, type_residue=None, prec=None):
-        coeffs = list(coeffs)
-        if prec is None:
-            prec = len(coeffs)
-        elif prec < len(coeffs):
-            raise ValueError("precision below the given coefficients")
-        self._store(field, enumerate(coeffs), weight, type_residue, prec)
-
     @classmethod
     def from_terms(cls, field, terms, weight=0, type_residue=None, prec=None):
-        """Build from a mapping exponent -> coefficient."""
+        """Build from a mapping exponent -> coefficient; zero coefficients are dropped."""
         if prec is None:
             prec = max(DEFAULT_USERIES_PREC, max(terms, default=0) + 1)
-        f = object.__new__(cls)
-        f._store(field, sorted(terms.items()), weight, type_residue, prec)
-        return f
-
-    def _store(self, field, pairs, weight, type_residue, prec):
-        """Keep the nonzero coefficients of `pairs`, given in ascending exponent order."""
-        terms = {}
-        for n, c in pairs:
+        stored = {}
+        for n, c in sorted(terms.items()):
             if not 0 <= n < prec:
                 raise ValueError("exponent %d outside precision window" % n)
             c = RatK.from_value(field, c)
             if c.field is not field and c.field != field:
                 raise ValueError("coefficient from a different field")
             if c:
-                terms[n] = c
+                stored[n] = c
         if prec < 1:
             raise ValueError("a series needs at least one coefficient")
         if type_residue is not None:
             type_residue = type_residue % (field.q - 1)
-        self.field = field
-        self.terms = terms
-        self.prec = prec
-        self.weight = weight
-        self.type_residue = type_residue
+        f = object.__new__(cls)
+        f.field = field
+        f.terms = stored
+        f.prec = prec
+        f.weight = weight
+        f.type_residue = type_residue
+        return f
 
     @property
     def coeffs(self):
@@ -89,9 +77,6 @@ class USeries:
 
     def support(self):
         return tuple(self.terms)
-
-    def is_zero(self):
-        return not self.terms
 
     def __add__(self, other):
         if not isinstance(other, USeries):
@@ -118,9 +103,6 @@ class USeries:
             and self.prec == other.prec
             and self.terms == other.terms
         )
-
-    def __hash__(self):
-        return hash((self.weight, self.type_residue, self.prec, tuple(self.terms.items())))
 
     def __repr__(self):
         return " + ".join(format_useries_term(c, n) for n, c in self.terms.items()) or "0"

@@ -503,6 +503,32 @@ def test_level_degree_is_bounded_before_any_coefficients_are_built(capsys):
     assert "POLY_DEG_MAX = 4096" in err
 
 
+_LONG_LITERAL = "1" * 5000
+
+
+@pytest.mark.parametrize(
+    "argv, at",
+    [
+        (("parity", "--q", "5", "--group", "gamma0:T+" + _LONG_LITERAL), 2),
+        (("split", "--q", "5", "--k", "4", "u^2+" + _LONG_LITERAL + "*u^4"), 4),
+        (("split", "--q", "5", "--k", "4", "u^" + _LONG_LITERAL), 2),
+        (("cusps", "--q", "9", "--modulus", "1,0," + _LONG_LITERAL, "--group", "full"), 4),
+        (("valence", "--q", "5", "--k", "4", "--v-other", "0, " + _LONG_LITERAL), 3),
+        (("cusps", "--q", "5", "--group", "gamma0:T!idx" + _LONG_LITERAL), 12),
+    ],
+    ids=["polynomial", "coefficient", "exponent", "modulus", "v-other", "idx"],
+)
+def test_a_long_integer_literal_is_refused_with_its_position(capsys, argv, at):
+    # int() would refuse 5000 digits with a text naming an interpreter setting
+    start = time.perf_counter()
+    code, out, err = run(capsys, *argv)
+    assert time.perf_counter() - start < 1
+    assert (code, out) == (2, "")
+    assert err.endswith("INT_DIGITS_MAX = 100 (at position %d)\n" % at)
+    assert "set_int_max_str_digits" not in err
+    assert _LONG_LITERAL[:200] not in err
+
+
 def test_dims_k_max_is_bounded_before_the_table_is_built(capsys):
     code, out, err = run(capsys, "dims", "--q", "5", "--k-max", "1002")
     assert code == 2

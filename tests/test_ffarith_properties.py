@@ -53,15 +53,15 @@ def ratks(F, max_len=5):
 
 
 def coord_add(F, x, y):
-    return tuple((a + b) % F.p for a, b in zip(x.coords, y.coords))
+    return tuple((a + b) % F.p for a, b in zip(F.coords[x.code], F.coords[y.code]))
 
 
 def coord_mul(F, x, y):
     """Schoolbook product of coordinate vectors reduced by the modulus."""
     p, e = F.p, F.e
     prod = [0] * (2 * e - 1)
-    for i, a in enumerate(x.coords):
-        for j, b in enumerate(y.coords):
+    for i, a in enumerate(F.coords[x.code]):
+        for j, b in enumerate(F.coords[y.code]):
             prod[i + j] += a * b
     for k in range(2 * e - 2, e - 1, -1):
         c = prod[k]
@@ -75,9 +75,9 @@ def test_field_axioms_and_inverses(F):
     @SEEDED
     @given(elements(F), elements(F), elements(F))
     def check(x, y, z):
-        assert (x + y).coords == coord_add(F, x, y)
+        assert F.coords[(x + y).code] == coord_add(F, x, y)
         if F.e > 1:
-            assert (x * y).coords == coord_mul(F, x, y)
+            assert F.coords[(x * y).code] == coord_mul(F, x, y)
         assert x + y == y + x and x * y == y * x
         assert (x + y) + z == x + (y + z)
         assert (x * y) * z == x * (y * z)
@@ -85,7 +85,7 @@ def test_field_axioms_and_inverses(F):
         assert x - y == x + (-y) and (x - x).is_zero()
         if not x.is_zero():
             assert x * x.inverse() == F.one
-            assert (y / x) * x == y
+            assert (y * x.inverse()) * x == y
 
     check()
 
@@ -207,12 +207,13 @@ QUAD_FIELDS = [Fq(3), Fq(5), Fq(7), FIELDS[1], FIELDS[4], FIELDS[2], FIELDS[3]]
 )
 def test_quad_irreducible_matches_the_expansion(F):
     four = RatK.from_value(F, 4)
+    quarter = RatK.from_value(F, F.elem(4).inverse())
 
     @settings(derandomize=True, max_examples=400, deadline=None)
     @given(ratks(F), ratks(F), st.booleans(), st.integers(0, 40))
     def check(b, c, double_root, prec):
         if double_root:
-            c = b * b / four
+            c = b * b * quarter
         if prec < 2 and not (b * b - four * c).is_zero():
             with pytest.raises(PrecisionError):
                 quad_irreducible_kinf(b, c, prec)

@@ -103,7 +103,8 @@ def test_record_contract(cls, names, values, short):
     by_position = cls(*values)
     by_keyword = cls(**dict(zip(fields, values)))
     assert by_position == by_keyword
-    assert hash(by_position) == hash(by_keyword)
+    if cls not in (EllipticWitness, Parity):  # a witness holds unhashable values
+        assert hash(by_position) == hash(by_keyword)
     assert tuple(getattr(by_position, name) for name in fields) == values
     assert repr(by_position) == "%s(%s)" % (
         cls.__name__,

@@ -40,9 +40,8 @@ def test_series_construction_and_accessors(F5):
     assert f.support() == (2, 4)
     assert f.coeff(2) == RatK.from_value(F5, 1)
     assert f.coeff(3).is_zero()
-    assert not f.is_zero()
-    assert USeries(F5, [0]).is_zero()
-    assert USeries(F5, [], prec=7).prec == 7
+    assert USeries.from_terms(F5, {0: 0}, prec=1).support() == ()
+    assert USeries.from_terms(F5, {}, prec=7).prec == 7
 
 
 def test_coeff_rejects_exponents_outside_the_window(F5):
@@ -54,16 +53,16 @@ def test_coeff_rejects_exponents_outside_the_window(F5):
 
 
 def test_series_type_residue_is_canonical(F5):
-    f = USeries(F5, [1], weight=8, type_residue=6)
+    f = USeries.from_terms(F5, {0: 1}, weight=8, type_residue=6)
     assert f.type_residue == 2
-    assert USeries(F5, [1]).type_residue is None
+    assert USeries.from_terms(F5, {0: 1}).type_residue is None
 
 
 def test_series_construction_validates(F5):
-    with pytest.raises(ValueError):
-        USeries(F5, [])
-    with pytest.raises(ValueError):
-        USeries(F5, [1, 2, 3], prec=2)
+    with pytest.raises(ValueError, match="at least one coefficient"):
+        USeries.from_terms(F5, {}, prec=0)
+    with pytest.raises(ValueError, match="exponent 2 outside precision window"):
+        USeries.from_terms(F5, {0: 1, 1: 2, 2: 3}, prec=2)
     with pytest.raises(ValueError):
         USeries.from_terms(F5, {70: 1}, prec=64)
     with pytest.raises(ValueError):
@@ -138,7 +137,7 @@ def test_split_sorts_support_into_the_two_type_classes(F5):
     # splitting a pure piece returns it unchanged plus zero
     again, rest = split(f1, 4, 5)
     assert again == f1
-    assert rest.is_zero()
+    assert rest.support() == ()
 
 
 def test_split_raises_at_the_first_unsupported_exponent(F5):
@@ -182,8 +181,8 @@ def test_parse_known_series(F5):
     assert f.coeff(0) == RatK.from_value(F5, -2)
     assert f.coeff(1) == RatK(parse_poly("T+1", F5))
     assert parse_useries("u", F5).support() == (1,)
-    assert parse_useries("-u^3+u^3", F5).is_zero()
-    assert parse_useries("0", F5).is_zero()
+    assert parse_useries("-u^3+u^3", F5).support() == ()
+    assert parse_useries("0", F5).support() == ()
     assert parse_useries("u^9", F5, prec=None).prec == 64
     assert parse_useries("u^80", F5).prec == 81
 
@@ -234,7 +233,7 @@ def test_coefficient_forms(F5):
 def test_series_repr_formats(F5):
     assert repr(parse_useries("u^2+3*u^4", F5)) == "u^2 + 3*u^4"
     assert repr(parse_useries("(T+1)*u", F5)) == "(T+1)*u"
-    assert repr(USeries(F5, [0])) == "0"
+    assert repr(USeries.from_terms(F5, {0: 0}, prec=1)) == "0"
     assert repr(parse_useries("u-2", F5)) == "3 + u"
 
 
@@ -297,7 +296,6 @@ def agrees(f, model):
     assert f.coeffs == tuple(model)
     assert [f.coeff(n) for n in range(f.prec)] == model
     assert f.support() == tuple(n for n, c in enumerate(model) if not c.is_zero())
-    assert f.is_zero() == all(c.is_zero() for c in model)
 
 
 @MODEL_FIELDS
@@ -309,11 +307,10 @@ def test_construction_agrees_with_the_dense_model(F):
         model = dense(F, terms, prec)
         f = USeries.from_terms(F, terms, prec=prec)
         agrees(f, model)
-        # the list constructor and descending keys build the same series
-        g = USeries(F, model)
+        # the dense map and descending keys build the same series
+        g = USeries.from_terms(F, dict(enumerate(model)), prec=prec)
         h = USeries.from_terms(F, dict(sorted(terms.items(), reverse=True)), prec=prec)
         assert f == g == h
-        assert hash(f) == hash(g) == hash(h)
         assert f != USeries.from_terms(F, terms, prec=prec + 1)
         assert list(f.terms) == sorted(f.terms)
 
@@ -330,10 +327,12 @@ def test_addition_agrees_with_the_dense_model(F):
         a, b = dense(F, *left), dense(F, *right)
         agrees(f + g, [x + y for x, y in zip(a, b)])
         # cancellation to zero, also against a longer series
-        minus_f = USeries.from_terms(F, {n: -c for n, c in left[0].items()}, prec=60)
+        minus_f = USeries.from_terms(
+            F, {n: RatK(-c.num, c.den) for n, c in left[0].items()}, prec=60
+        )
         total = f + minus_f
-        assert total.is_zero() and total.support() == () and repr(total) == "0"
-        assert total == USeries(F, [], prec=f.prec)
+        assert total.support() == () and repr(total) == "0"
+        assert total == USeries.from_terms(F, {}, prec=f.prec)
 
     check()
 
@@ -368,7 +367,7 @@ def test_split_agrees_with_the_dense_model(F):
         f1, f2 = split(f, k, q)
         agrees(f1, [c if first else zero for c, first in zip(model, in_first)])
         agrees(f2, [zero if first else c for c, first in zip(model, in_first)])
-        assert f1 + f2 == f and hash(f1 + f2) == hash(f)
+        assert f1 + f2 == f
 
     check()
 
@@ -449,7 +448,7 @@ def reference_parse_useries(text, field):
             if n > USERIES_EXP_MAX:
                 raise ParseError("exponent %d exceeds USERIES_EXP_MAX" % n, 0)
         if sgn < 0:
-            coeff = -coeff
+            coeff = RatK(-coeff.num, coeff.den)
         terms[n] = terms[n] + coeff if n in terms else coeff
     return USeries.from_terms(field, terms)
 
