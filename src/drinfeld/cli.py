@@ -8,7 +8,10 @@ series input.
 
 Each subcommand builds one result dict.  JSON output prints it under a
 fixed head ("schema": "drinfeld/1", "command", "q") with the module's own
-writer `_json`; the table format prints lines rendered from the same dict.
+writer `_json`, which appends the text as pieces to one list and joins it
+once; the table format prints lines rendered from the same dict.  Integer
+options are read by `ffarith.parse_int`, so an over-long literal is refused
+by its length and never echoed.
 
 `main` builds the argument parser on its first call and reuses it for every
 later call in the process; importing the module builds nothing.  The
@@ -61,26 +64,91 @@ def _int_list(text, what):
     return tuple(out)
 
 
+def _int_arg(text):
+    """An int option value, read by `parse_int`; argparse names the option."""
+    try:
+        return parse_int(text, 0, "invalid int value")
+    except ParseError as e:
+        raise argparse.ArgumentTypeError(str(e)) from None
+
+
 def _modulus(args):
     return None if args.modulus is None else _int_list(args.modulus, "modulus")
 
 
-def _json(x, pad="\n", _quote=json.encoder.encode_basestring_ascii):
-    """x as indent-2 JSON text, as the json module writes it (str, int, bool, None, list, dict)."""
+def _json(x, _quote=json.encoder.encode_basestring_ascii):
+    """x as indent-2 JSON text, as the json module writes it (str, int, bool,
+    None, list, str-keyed dict); anything else raises TypeError.
+
+    The text is appended as pieces to one list, joined once at the end.  A
+    str, int, bool or None child is put in place with no call, and only a
+    non-empty dict or list recurses.  The brackets and separators of each
+    depth, the head of each key and the quoted text of each str value are
+    made once per call and put as the same object wherever they recur.
+    """
+    text = _leaf(x)
+    if text is not None:
+        return text
+    pieces, marks, heads, quoted = [], [], {}, {}
+    put = pieces.append
+
+    def write(x, depth):
+        if depth == len(marks):
+            pad = "\n" + "  " * depth
+            inner = pad + "  "
+            marks.append(("{" + inner, "[" + inner, "," + inner, pad + "}", pad + "]"))
+        open_dict, open_list, comma, close_dict, close_list = marks[depth]
+        if isinstance(x, dict):
+            keyed, items, sep, close = True, x.items(), open_dict, close_dict
+        elif isinstance(x, list):
+            keyed, items, sep, close = False, enumerate(x), open_list, close_list
+        else:
+            raise TypeError("cannot write %s as JSON" % type(x).__name__)
+        depth += 1
+        for k, v in items:
+            put(sep)
+            sep = comma
+            if keyed:
+                head = heads.get(k)
+                if head is None:
+                    head = heads[k] = _quote(k) + ": "
+                put(head)
+            kind = v.__class__
+            if kind is str:
+                text = quoted.get(v)
+                if text is None:
+                    text = quoted[v] = _quote(v)
+                put(text)
+            elif kind is bool or v is None:
+                put("null" if v is None else "true" if v else "false")
+            elif kind is int:
+                put(int.__repr__(v))
+            elif (kind is dict or kind is list) and v:
+                write(v, depth)
+            else:
+                # a subclass, an empty container or an unwritable value
+                text = _leaf(v)
+                if text is None:
+                    write(v, depth)
+                else:
+                    put(text)
+        put(close)
+
+    write(x, 0)
+    return "".join(pieces)
+
+
+def _leaf(x, _quote=json.encoder.encode_basestring_ascii):
+    """The JSON text of a str, int, bool, None, or empty dict or list; None otherwise."""
     if isinstance(x, str):
         return _quote(x)
     if x is None or x is True or x is False:
         return "null" if x is None else "true" if x else "false"
     if isinstance(x, int):
         return int.__repr__(x)
-    inner = pad + "  "
-    if isinstance(x, dict):
-        items = [_quote(k) + ": " + _json(v, inner) for k, v in x.items()]
-        return "{" + inner + ("," + inner).join(items) + pad + "}" if items else "{}"
-    if isinstance(x, list):
-        items = [_json(v, inner) for v in x]
-        return "[" + inner + ("," + inner).join(items) + pad + "]" if items else "[]"
-    raise TypeError("cannot write %s as JSON" % type(x).__name__)
+    if isinstance(x, (dict, list)) and not x:
+        return "{}" if isinstance(x, dict) else "[]"
+    return None
 
 
 def _emit(args, result, table):
@@ -97,7 +165,7 @@ def _emit(args, result, table):
 
 def _text(texts, x):
     """PolyA or RatK text, formatted once per `texts`, the dict of one request."""
-    key = (x.num.coeffs, x.den.coeffs) if isinstance(x, RatK) else x.coeffs
+    key = (x.num.coeffs, x.den.coeffs) if x.__class__ is RatK else x.coeffs
     return texts[key] if key in texts else texts.setdefault(key, repr(x))
 
 
@@ -333,7 +401,7 @@ def _ellsearch_table(r):
 
 def _add_common(sp):
     sp.add_argument(
-        "--q", type=int, required=True, help="odd prime power, at most %d" % Q_MAX
+        "--q", type=_int_arg, required=True, help="odd prime power, at most %d" % Q_MAX
     )
     sp.add_argument(
         "--modulus",
@@ -364,14 +432,14 @@ def build_parser():
     sp = sub.add_parser("parity", help="square/non-square classification")
     _add_common(sp)
     _add_group(sp)
-    sp.add_argument("--deg-bound", type=int, default=0)
+    sp.add_argument("--deg-bound", type=_int_arg, default=0)
     sp.set_defaults(func=cmd_parity)
 
     sp = sub.add_parser("dims", help="dimension table with section cross-check")
     _add_common(sp)
     sp.add_argument("--preset", choices=PRESETS, default="Gamma0T_2")
     sp.add_argument(
-        "--k-max", type=int, required=True, help="even, at most %d" % DIMS_K_MAX
+        "--k-max", type=_int_arg, required=True, help="even, at most %d" % DIMS_K_MAX
     )
     sp.set_defaults(func=cmd_dims)
 
@@ -379,13 +447,16 @@ def build_parser():
     _add_common(sp)
     sp.add_argument("--preset", choices=PRESETS, required=True)
     sp.add_argument(
-        "--max-weight", type=int, required=True, help="even, at most %d" % SECTIONRING_WEIGHT_MAX
+        "--max-weight",
+        type=_int_arg,
+        required=True,
+        help="even, at most %d" % SECTIONRING_WEIGHT_MAX,
     )
     sp.set_defaults(func=cmd_sectionring)
 
     sp = sub.add_parser("split", help="sort a series into its two type classes")
     _add_common(sp)
-    sp.add_argument("--k", type=int, required=True, help="even weight")
+    sp.add_argument("--k", type=_int_arg, required=True, help="even weight")
     sp.add_argument("series", help="sum of c*u^n terms, e.g. 'u^2+3*u^4'")
     sp.set_defaults(func=cmd_split)
 
@@ -396,16 +467,16 @@ def build_parser():
 
     sp = sub.add_parser("valence", help="check a vanishing profile")
     _add_common(sp)
-    sp.add_argument("--k", type=int, required=True)
-    sp.add_argument("--v-inf", type=int, default=0)
-    sp.add_argument("--v-e", type=int, default=0)
+    sp.add_argument("--k", type=_int_arg, required=True)
+    sp.add_argument("--v-inf", type=_int_arg, default=0)
+    sp.add_argument("--v-e", type=_int_arg, default=0)
     sp.add_argument("--v-other", help="comma-separated orders at other points")
     sp.set_defaults(func=cmd_valence)
 
     sp = sub.add_parser("ellsearch", help="elliptic witness search")
     _add_common(sp)
     _add_group(sp)
-    sp.add_argument("--deg-bound", type=int, default=0)
+    sp.add_argument("--deg-bound", type=_int_arg, default=0)
     sp.set_defaults(func=cmd_ellsearch)
 
     return parser

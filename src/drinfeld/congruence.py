@@ -204,6 +204,11 @@ def quotient_order(outer, inner, field):
     return n_outer // n_inner
 
 
+def _excerpt(text, limit=16):
+    """text quoted for a message, cut to its first `limit` characters."""
+    return repr(text) if len(text) <= limit else repr(text[:limit]) + "..."
+
+
 def parse_group(text, field, level_text=None):
     """Parse a group descriptor.
 
@@ -221,10 +226,10 @@ def parse_group(text, field, level_text=None):
         elif suffix == "one":
             det_index = field.q - 1
         elif suffix.startswith("idx"):
-            message = "malformed determinant suffix %r" % suffix
+            message = "malformed determinant suffix %s" % _excerpt(suffix)
             det_index = parse_int(suffix[3:], len(src) + 4, message)
         else:
-            raise ParseError("unknown determinant suffix %r" % suffix, len(src))
+            raise ParseError("unknown determinant suffix %s" % _excerpt(suffix), len(src))
     if ":" in src:
         if level_text is not None:
             raise ParseError(

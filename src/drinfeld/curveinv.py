@@ -37,7 +37,6 @@ from collections import namedtuple
 
 from .congruence import GroupSpec, _mat2
 from .ffarith import (
-    FqElem,
     PolyA,
     RatK,
     WorkBoundError,
@@ -311,7 +310,14 @@ def _witness_blocks(G, deg_bound, field):
         sets, keyed on the coefficients of t;
       * `products` maps the coefficients of degree >= 1 of b*c, for every
         b of degree <= deg_bound and every c of the box, to the list of
-        [constant term of b*c, b, c, -b/c once a witness has needed it].
+        rows [constant term of b*c, b, c, -b/c once a witness has needed
+        it, rank of b, rank of c].
+    The polynomials b and d are numbered once in sort-key order, and the
+    c of the box likewise; a row carries the ranks of its b and c and the
+    walk pairs each d with its rank, so a block is sorted on the integer
+    triple (rank b, rank c, rank d), which orders it as the entries'
+    sort keys do.  The allowed determinants are kept as one FqElem per
+    code, which every witness of that determinant shares.
     As ad - bc = delta is a constant, ad and bc agree in degree >= 1: the
     candidates for a given (a, d) are one lookup on the degree >= 1 part of
     ad, and delta = (ad)_0 - (bc)_0, which is then the determinant of the
@@ -332,7 +338,7 @@ def _witness_blocks(G, deg_bound, field):
             "elliptic search box too large: %d^%d candidates exceed"
             " ELLIPTIC_BOX_LIMIT = %d" % (field.q, exponent, ELLIPTIC_BOX_LIMIT)
         )
-    dets = frozenset(x.code for x in G.det_values(field))
+    dets = {x.code: x for x in G.det_values(field)}
     sub, mul, log = field.sub, field.mul, field.log
     four = field.elem(4).code
     rows = {}
@@ -349,13 +355,22 @@ def _witness_blocks(G, deg_bound, field):
             a_vals = [a * N + 1 for a in polys]
         else:
             a_vals = _polys_up_to(field, deg_bound + 1)
+    b_ranks, c_ranks = _ranks(polys), _ranks(c_vals)
     products = {}
-    for c in c_vals:
-        for b in polys:
+    for c, rc in zip(c_vals, c_ranks):
+        for b, rb in zip(polys, b_ranks):
             bc = (b * c).coeffs or (0,)
-            products.setdefault(bc[1:], []).append([bc[0], b, c, None])
+            products.setdefault(bc[1:], []).append([bc[0], b, c, None, rb, rc])
+    d_vals = list(zip(polys, b_ranks))
     a_vals = sorted(a_vals, key=PolyA.sort_key)
-    return (_a_block(a, polys, dets, rows, products) for a in a_vals)
+    return (_a_block(a, d_vals, dets, rows, products) for a in a_vals)
+
+
+def _ranks(polys):
+    """The place of each of the distinct polys in sort-key order."""
+    keys = [f.sort_key() for f in polys]
+    place = {k: rank for rank, k in enumerate(sorted(keys))}
+    return [place[k] for k in keys]
 
 
 def _a_block(a, d_vals, dets, rows, products):
@@ -365,39 +380,39 @@ def _a_block(a, d_vals, dets, rows, products):
     the candidates (b, c) are the `products` entry of the degree >= 1 part
     of ad, and one is a witness when its determinant code
     delta = (ad)_0 - (bc)_0 is allowed for the trace.  The box is
-    unit-determinant by construction, so gamma takes delta unchecked.
+    unit-determinant by construction, so gamma takes delta unchecked, and
+    det is the shared FqElem `dets[delta]`.  `d_vals` pairs each d with
+    its rank; the block is sorted on the ranks of (b, c, d).
     """
     field = a.field
     sub, log = field.sub, field.log
     block = []
-    for d in d_vals:
+    for d, rd in d_vals:
         allowed = rows.get((a + d).coeffs, dets)
         if not allowed:
             continue
         ad = (a * d).coeffs or (0,)
         d_minus_a = d - a
         for entry in products.get(ad[1:], ()):
-            bc0, b, c, quad_c = entry
+            bc0, b, c, quad_c, rb, rc = entry
             delta = sub(ad[0], bc0)
             if delta not in allowed:
                 continue
             if quad_c is None:
                 quad_c = entry[3] = RatK(-b, c)
-            det = FqElem(field, delta)
-            block.append(
-                EllipticWitness(
-                    gamma=_mat2(a, b, c, d, det),
-                    quad_b=RatK(d_minus_a, c),
-                    quad_c=quad_c,
-                    det=det,
-                    det_is_square=log[delta] % 2 == 0,
-                )
+            det = dets[delta]
+            w = EllipticWitness(
+                gamma=_mat2(a, b, c, d, det),
+                quad_b=RatK(d_minus_a, c),
+                quad_c=quad_c,
+                det=det,
+                det_is_square=log[delta] % 2 == 0,
             )
-    # a is the same throughout the block, so (b, c, d) decide the order
-    block.sort(
-        key=lambda w: (w.gamma.b.sort_key(), w.gamma.c.sort_key(), w.gamma.d.sort_key())
-    )
-    return block
+            block.append((rb, rc, rd, w))
+    # a is the same throughout the block, so the ranks of (b, c, d) decide
+    # the order; they differ between any two witnesses, so no w is compared
+    block.sort()
+    return [w for _, _, _, w in block]
 
 
 def parity(G, deg_bound, field=None):

@@ -510,13 +510,23 @@ class RatK:
         if deg == 1:
             l0, l1 = den.coeffs
             add, mul = field.add, field.mul
-            r = field.neg(mul(l0, field.inv(l1)))
-            # vals: the quotient by T - r, highest degree first, then num(r)
-            vals = list(
-                itertools.accumulate(reversed(num.coeffs), lambda y, c: add(mul(y, r), c))
-            )
+            x = field.inv(l1)
+            m = mul(l0, x)  # den = l1*(T + m), so r = -m
+            r = field.neg(m)
+            # Horner at r: vals is the quotient by T - r, highest degree
+            # first, then num(r)
+            vals, y = [], 0
+            for c in reversed(num.coeffs):
+                y = add(mul(y, r), c)
+                vals.append(y)
+            # num/den is (num/l1) / (T + m), or (quotient/l1) / 1 when
+            # num(r) = 0: the denominator comes out monic
             if not (vals and vals[-1]):
-                num, den = _poly(field, vals[-2::-1]), _poly(field, [l1])
+                num, den = _poly(field, vals[-2::-1]), PolyA.one(field)
+            elif l1 != 1:
+                den = _poly(field, [m, 1])
+            if x != 1:
+                num = _scaled(num, x)
         elif deg > 1:
             g = num.gcd(den)
             if g.degree > 0:

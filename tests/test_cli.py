@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import argparse
 import contextlib
 import io
 import json
@@ -529,6 +530,59 @@ def test_a_long_integer_literal_is_refused_with_its_position(capsys, argv, at):
     assert _LONG_LITERAL[:200] not in err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("parity", "--q", _LONG_LITERAL, "--group", "full"),
+        ("split", "--q", "5", "--k", _LONG_LITERAL, "u^2"),
+        ("valence", "--q", "5", "--k", "4", "--v-inf", _LONG_LITERAL),
+        ("valence", "--q", "5", "--k", "4", "--v-e", _LONG_LITERAL),
+        ("ellsearch", "--q", "5", "--group", "full", "--deg-bound", _LONG_LITERAL),
+        ("dims", "--q", "5", "--k-max", _LONG_LITERAL),
+        ("sectionring", "--q", "5", "--preset", "GL2A_2", "--max-weight", _LONG_LITERAL),
+    ],
+    ids=["q", "k", "v-inf", "v-e", "deg-bound", "k-max", "max-weight"],
+)
+def test_a_long_int_option_is_refused_without_echoing_its_digits(capsys, argv):
+    option = argv[argv.index(_LONG_LITERAL) - 1]
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert "argument %s: integer literal of 5000 digits exceeds the supported maximum" % option in err
+    assert err.endswith("INT_DIGITS_MAX = 100 (at position 0)\n")
+    assert _LONG_LITERAL[:200] not in err
+    assert len(err) < 1000
+
+
+def test_int_options_still_read_signs_and_spaces_and_refuse_other_text(capsys):
+    plain = run(capsys, "valence", "--q", "5", "--k", "4", "--v-inf", "0", "--format", "json")
+    spaced = run(capsys, "valence", "--q", "5", "--k", " +4 ", "--v-inf=-0", "--format", "json")
+    assert spaced == plain
+    assert json.loads(plain[1])["k"] == 4
+    for bad in ("x", "1.5", "1_0", "4-", ""):
+        code, out, err = run(capsys, "valence", "--q", "5", "--k", bad)
+        assert (code, out) == (2, "")
+        assert "argument --k: invalid int value (at position 0)" in err
+
+
+@pytest.mark.parametrize(
+    "group, message",
+    [
+        ("gamma0:T!idx" + "x" * 5000, "malformed determinant suffix 'idxxxxxxxxxxxxxx'... (at position 12)"),
+        ("gamma0:T!" + "x" * 5000, "unknown determinant suffix 'xxxxxxxxxxxxxxxx'... (at position 8)"),
+        ("gamma0:T!idx2x", "malformed determinant suffix 'idx2x' (at position 12)"),
+        ("gamma0:T!wat", "unknown determinant suffix 'wat' (at position 8)"),
+    ],
+    ids=["long-idx", "long-unknown", "short-idx", "short-unknown"],
+)
+def test_a_bad_determinant_suffix_is_shown_by_position_and_a_short_prefix(
+    capsys, group, message
+):
+    code, out, err = run(capsys, "cusps", "--q", "5", "--group", group)
+    assert (code, out) == (2, "")
+    assert err == "error: %s\n" % message
+    assert len(err.encode()) < 200
+
+
 def test_dims_k_max_is_bounded_before_the_table_is_built(capsys):
     code, out, err = run(capsys, "dims", "--q", "5", "--k-max", "1002")
     assert code == 2
@@ -802,6 +856,57 @@ def test_the_json_writer_refuses_other_types():
     for x in (1.5, (1, 2), {1: "a"}):
         with pytest.raises(TypeError):
             cli._json(x)
+
+
+class _Float(float):
+    pass
+
+
+@pytest.mark.parametrize(
+    "bad", [1.5, _Float(2.0), (1, 2), {1, 2}, b"x", {1: "a"}],
+    ids=["float", "float-subclass", "tuple", "set", "bytes", "int-key"],
+)
+def test_the_json_writer_refuses_a_value_nested_three_deep_and_writes_nothing(
+    capsys, bad
+):
+    payload = {"witnesses": [{"det": "1", "matrix": [["T", bad]]}]}
+    with pytest.raises(TypeError):
+        cli._json(payload)
+    args = argparse.Namespace(format="json", command="ellsearch", q=3)
+    with pytest.raises(TypeError):
+        cli._emit(args, payload, None)
+    assert capsys.readouterr().out == ""
+
+
+class _Str(str):
+    pass
+
+
+class _Int(int):
+    pass
+
+
+class _Dict(dict):
+    pass
+
+
+class _List(list):
+    pass
+
+
+def test_the_json_writer_takes_what_isinstance_takes_and_empty_containers_in_place():
+    # the writer dispatches on the exact class first: a subclass of a
+    # written type is still written, as json.dumps writes it
+    xs = [
+        "top", 7, -(10**30), True, False, None, {}, [],
+        {"a": {}, "b": [], "c": [[], {}, [{}]], "d": {"e": [[]]}},
+        [[[]], {}, [{}, []], ""],
+        {"s": _Str("sub"), "i": _Int(5), "d": _Dict(k=_List([1, _Str("x")])), "e": _Dict()},
+        _List([_Dict(a=_List()), _Int(0), _Str('"')]),
+        _Str("top"), _Int(-3), _Dict(), _List(),
+    ]
+    for x in xs:
+        assert cli._json(x) == json.dumps(x, indent=2), x
 
 
 # ----------------------------------------------------- text per request

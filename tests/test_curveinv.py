@@ -365,6 +365,37 @@ def test_witnesses_satisfy_their_defining_invariants(q, modulus, descriptor):
         assert w.det_is_square == is_square_fq(w.det)
 
 
+@pytest.mark.parametrize(
+    "q, descriptor, deg_bound, count",
+    [
+        (25, "full!one", 0, 7200),
+        (25, "gamma1:T!one", 0, 576),
+        (3, "full", 1, None),
+        (3, "gamma1:T+1", 1, None),
+        (3, "gamma0:T+1", 1, None),
+    ],
+)
+def test_witnesses_are_sorted_where_code_and_coordinate_order_differ(
+    q, descriptor, deg_bound, count
+):
+    # each block is sorted on the ranks of b, c and d; at q = 25 the codes
+    # of F_q are not in coordinate order, and at q = 3, deg-bound 1 the
+    # entries c'(T + 1) are not in the order of c', and entries of two
+    # lengths share a block
+    F = get_field(q)
+    ws = elliptic_search(parse_group(descriptor, F), deg_bound, F)
+    keys = [_matrix_key(w) for w in ws]
+    assert keys == sorted(keys)
+    assert len(set(keys)) == len(keys)
+    if count is not None:
+        assert len(ws) == count
+    if q == 25:
+        assert sorted(range(q), key=F.coords.__getitem__) != list(range(q))
+    else:
+        block = [w.gamma for w in ws if w.gamma.a == ws[0].gamma.a]
+        assert any(len({len(getattr(g, x).coeffs) for g in block}) > 1 for x in "bcd")
+
+
 # every family's product table at each deg_bound whose box fits
 # ELLIPTIC_BOX_LIMIT (deg_bound 1 does not at q = 9, nor for gamma0 at q = 5)
 @pytest.mark.parametrize(
