@@ -6,9 +6,9 @@ Three computations give invariants of a congruence subgroup:
     mod N together with scalar rescaling, found by forward closure under a
     small generating set per family (the group mod N is finite, so no
     inverses are needed; the torus comes from a generating set of
-    (A/N)^x).  Residues are coded as ints, and each generator acts through
-    one multiplication table per entry and one addition table, built per
-    request, so the closure does no polynomial arithmetic;
+    (A/N)^x).  After parsing, residues are int codes: multiplication tables
+    by linearity, primitivity by the roots of N and the codes walked in
+    sort-key order, with no polynomial arithmetic (see `_Residues`);
   * elliptic witnesses: exhaustive search of a family-shaped parameter box
     for non-scalar members whose fixed-point quadratic
     z^2 + ((d-a)/c) z - b/c is irreducible over K (equivalently, whose
@@ -32,8 +32,8 @@ The computations above are their test oracles, not their inputs.
 from __future__ import annotations
 
 import itertools
-import operator
 from collections import namedtuple
+from functools import reduce
 
 from .congruence import GroupSpec, _mat2
 from .ffarith import (
@@ -113,115 +113,114 @@ class _Residues:
     """A/N with each residue coded as one int 0 <= r < R = q^deg N.
 
     The base-q digits of r are the F_q codes of the residue's coefficients,
-    the constant term most significant, so `polys[r]` runs through the
-    residues in the order of `_polys_up_to`.  `gcds[r]` is gcd(polys[r], N).
-    Tables on codes are built per instance: `add_table()` by digit-wise
-    field.add, and `mul_table(m)` for multiplication by a fixed residue m.
+    the constant term most significant, so its base-p digits are F_p
+    coordinates.  The tables are int lists, built with no PolyA arithmetic:
+    `add[x][y]`, the base-p digits added mod p; `mul_table(m)` by linearity,
+    from the images m*T^i mod N of a multiply-by-T step (shift the digits,
+    fold the top one back in as -N_j/lc(N)) scaled by the q constants;
+    `order`, the codes in sort-key order; `mask[r]`, bit i set when the i-th
+    prime factor of N divides r.  As deg N <= CUSP_LEVEL_DEG_LIMIT = 2
+    (degree 3 allows (T - x) times an irreducible quadratic), these are the
+    T - x for the roots x of N in F_q, or N alone, so gcd(u, v, N) = 1 iff
+    mask[u] & mask[v] == 0, and r is a unit iff mask[r] == 0.
     """
 
     def __init__(self, N):
-        if N.is_zero() or N.is_constant():
-            raise ValueError("level must be nonconstant")
         field = N.field
-        if field.q ** (2 * N.degree) > ELLIPTIC_BOX_LIMIT:
+        q = field.q
+        if q ** (2 * N.degree) > ELLIPTIC_BOX_LIMIT:
             raise WorkBoundError(
                 "residue space too large: %d^%d pairs exceed ELLIPTIC_BOX_LIMIT = %d"
-                % (field.q, 2 * N.degree, ELLIPTIC_BOX_LIMIT)
+                % (q, 2 * N.degree, ELLIPTIC_BOX_LIMIT)
             )
-        self.N = N
-        self.polys = _polys_up_to(field, N.degree - 1)
-        self.place = [field.q**i for i in reversed(range(N.degree))]
-        self.gcds = [f.gcd(N) for f in self.polys]
-
-    def code(self, f):
-        """The code of a reduced residue f."""
-        return sum(map(operator.mul, f.coeffs, self.place))
+        self.field = field
+        self.place = place = [q**i for i in reversed(range(N.degree))]
+        add, mul, p = field.add, field.mul, field.p
+        # each step appends a least significant digit: base p to sums, base q to the order
+        self.add = digit = [[(x + y) % p for y in range(p)] for x in range(p)]
+        for _ in range(N.degree * field.e - 1):
+            self.add = [[hi * p + lo for hi in high for lo in low] for high in self.add for low in digit]
+        self.order = by_coords = sorted(range(q), key=field.coords.__getitem__)
+        for _ in place[1:]:
+            self.order = [hi * q + lo for hi in self.order for lo in by_coords]
+        # fold[c] = c * T^n = -c * (N_0 + ... + N_(n-1) T^(n-1)) / lc(N) mod N, n = deg N
+        lc_inv = field.inv(N.coeffs[-1])
+        top = [field.neg(mul(c, lc_inv)) for c in N.coeffs[:-1]]
+        self.fold = [sum(mul(c, d) * v for d, v in zip(top, place)) for c in range(q)]
+        # the prime factors of N: T - x for each root x (Horner's rule), or N
+        # alone, of code 0; bit i of mask[r] marks the multiples of the i-th
+        horner = lambda x: reduce(lambda y, c: add(mul(y, x), c), N.coeffs[::-1], 0)
+        t = self.add[place[0] // q][self.fold[place[0] % q]]  # T mod N
+        factors = [self.add[t][field.neg(x) * place[0]] for x in range(q) if not horner(x)]
+        self.mask = [0] * len(self.order)
+        for i, f in enumerate(factors or [0]):
+            for r in self.mul_table(f):
+                self.mask[r] |= 1 << i
 
     def mul_table(self, m):
-        """table[r] = the code of m * polys[r] mod N."""
-        N = self.N
-        return [self.code(m * f % N) for f in self.polys]
-
-    def add_table(self):
-        """table[x][y] = the code of polys[x] + polys[y]."""
-        field = self.N.field
-        q = field.q
-        digit = [[field.add(x, y) for y in range(q)] for x in range(q)]
-        table = [[0]]
+        """table[r] = the code of m * r mod N, for the code m."""
+        add, mul, fold, q = self.add, self.field.mul, self.fold, self.field.q
+        table = [0]
         for _ in self.place:
-            # append a least significant digit to every code
-            table = [[hi * q + lo for hi in high for lo in low] for high in table for low in digit]
+            # m runs through the images of 1, T, ..., T^(n-1), scaled by each c
+            scaled = [0] * q
+            for p in self.place:
+                scaled = [s + mul(c, m // p % q) * p for c, s in enumerate(scaled)]
+            table = [add[t][s] for t in table for s in scaled]
+            m = add[m // q][fold[m % q]]
         return table
 
-    def primitive(self, order):
-        """The code pairs (u, v) with gcd(u, v, N) = 1, u and v walked in order."""
-        one = PolyA.one(self.N.field)
-        divisors = list(dict.fromkeys(self.gcds))
-        coprime = [[d.gcd(e) == one for e in divisors] for d in divisors]
-        kind = [divisors.index(g) for g in self.gcds]
-        return [(u, v) for u in order for v in order if coprime[kind[u]][kind[v]]]
+    def poly(self, r):
+        """The residue of the code r as a PolyA."""
+        return _poly(self.field, [r // p % self.field.q for p in self.place])
 
 
 def _mod_n_generators(G, res):
     """A generating set of <image of G mod N, scalars>, as code tables.
 
-    A generator (a, b; c, d) is returned as the four tables
-    `res.mul_table` of its entries; entries that repeat share a table.  The
-    group mod N is finite, so a forward closure under any generating set
-    reaches a whole orbit and no inverses are listed.  gen*I generates the
-    scalars, which realize the F_q^x rescaling of primitive vectors.  The
-    rest generate the group's image mod N: the elementary matrices
+    A generator (a, b; c, d) of residue codes is returned as the four
+    tables `res.mul_table` of its entries, one table per distinct entry.
+    The group mod N is finite, so a forward closure under any generating
+    set reaches a whole orbit and no inverses are listed.  gen*I generates
+    the scalars, which realize the F_q^x rescaling of primitive vectors.
+    The rest generate the group's image mod N: the elementary matrices
     (1, x; 0, 1), and (1, 0; x, 1) for the full group, with x over the
-    F_p-basis a_j T^i of A/N (a_j the element of code p^j); one diagonal
-    matrix whose determinant generates the allowed determinant subgroup;
-    and for gamma0 and the full group the torus (r, 0; 0, r^-1) for r over
-    a generating set of (A/N)^x, r^-1 read off the multiplication table of
-    r.  That set is found by walking the units in code order and keeping r
-    when it is not yet in the subgroup the kept ones generate.
+    F_p-basis a_j T^i of A/N (code p^j times the place of T^i); one
+    diagonal matrix whose determinant generates the allowed determinant
+    subgroup; and for gamma0 and the full group the torus (r, 0; 0, r^-1)
+    for r over a generating set of (A/N)^x, r^-1 read off the table of r.
+    That set is found by walking the units (mask 0) in code order and
+    keeping r when it is not yet in the subgroup the kept ones generate.
     """
-    N = res.N
-    field = N.field
-    zero = PolyA.zero(field)
-    one = PolyA.one(field)
+    field = res.field
+    one = res.place[0]  # the code of the constant 1
     tables = {}
-
-    def table(m):
-        if m not in tables:
-            tables[m] = res.mul_table(m)
-        return tables[m]
-
-    scalar = PolyA.const(field, field.gen)
-    gens = [(scalar, zero, zero, scalar)]
+    scalar = field.gen.code * one
+    gens = [(scalar, 0, 0, scalar)]
     if G.family != "gammaN":
-        basis = [
-            _poly(field, [0] * i + [field.p**j])
-            for i in range(N.degree)
-            for j in range(field.e)
-        ]
-        gens.extend((one, x, zero, one) for x in basis)
+        basis = [field.p**j * v for v in res.place for j in range(field.e)]
+        gens.extend((one, x, 0, one) for x in basis)
         det_vals = G.det_values(field)
-        delta = PolyA.const(field, det_vals[1 % len(det_vals)])
+        delta = det_vals[1 % len(det_vals)].code * one
         if G.family == "gamma1":
-            gens.append((one, zero, zero, delta))
+            gens.append((one, 0, 0, delta))
         else:
-            unit = res.code(one)
-            span = {unit}
-            for r, f in enumerate(res.polys):
-                if r in span or res.gcds[r] != one:
+            span = {one}
+            for r, mask in enumerate(res.mask):
+                if r in span or mask:
                     continue
-                mul = table(f)
-                gens.append((f, zero, zero, res.polys[mul.index(unit)]))
-                # add the cosets f^k * span until f^k lies in span
-                coset = list(span)
-                while True:
-                    coset = [mul[s] for s in coset]
-                    if coset[0] in span:
-                        break
+                mul = tables[r] = res.mul_table(r)
+                gens.append((r, 0, 0, mul.index(one)))
+                # add the cosets r^k * span until r^k lies in span
+                coset = [mul[s] for s in span]
+                while coset[0] not in span:
                     span.update(coset)
-            gens.append((delta, zero, zero, one))
+                    coset = [mul[s] for s in coset]
+            gens.append((delta, 0, 0, one))
             if G.family == "full":
-                gens.extend((one, zero, x, one) for x in basis)
-    return [tuple(map(table, gen)) for gen in gens]
+                gens.extend((one, 0, x, one) for x in basis)
+    tables.update((m, res.mul_table(m)) for m in set(itertools.chain(*gens)) - tables.keys())
+    return [tuple(map(tables.__getitem__, gen)) for gen in gens]
 
 
 def cusps(G, field=None):
@@ -231,8 +230,8 @@ def cusps(G, field=None):
     since the action is transitive).  Levels of degree > 2 exceed the
     work bound.  The closure runs on residue codes: one step reads four
     multiplication tables and the addition table twice.  The primitive
-    vectors are walked in sort-key order, so the first vector of each new
-    orbit is its least element and the representatives come out sorted.
+    vectors (disjoint root masks) are walked in sort-key order, so each new
+    orbit starts at its least element; only these sorted reps become PolyA.
     """
     field = G.field_for(field)
     N = G.level if G.level is not None else PolyA.T(field)
@@ -242,19 +241,17 @@ def cusps(G, field=None):
             " = %d: the level has degree %d" % (CUSP_LEVEL_DEG_LIMIT, N.degree)
         )
     res = _Residues(N)
-    polys = res.polys
-    R = len(polys)
-    prim = res.primitive(sorted(range(R), key=lambda r: polys[r].sort_key()))
+    order, mask, add = res.order, res.mask, res.add
+    R = len(order)
+    prim = [(u, v) for u in order for v in order if not mask[u] & mask[v]]
     gens = _mod_n_generators(G, res)
-    add = res.add_table()
     seen = bytearray(R * R)
     reps, sizes = [], []
     for u0, v0 in prim:
         if seen[u0 * R + v0]:
             continue
         seen[u0 * R + v0] = 1
-        stack = [(u0, v0)]
-        size = 1
+        stack, size = [(u0, v0)], 1
         while stack:
             u, v = stack.pop()
             for ma, mb, mc, md in gens:
@@ -264,9 +261,10 @@ def cusps(G, field=None):
                     seen[x * R + y] = 1
                     size += 1
                     stack.append((x, y))
-        reps.append((polys[u0], polys[v0]))
+        reps.append((u0, v0))
         sizes.append(size)
-    return CuspSet(reps=tuple(reps), sizes=tuple(sizes), total=len(prim))
+    poly = {r: res.poly(r) for r in set(itertools.chain(*reps))}  # one PolyA per code
+    return CuspSet(tuple((poly[u], poly[v]) for u, v in reps), tuple(sizes), len(prim))
 
 
 def _polys_up_to(field, deg_bound):

@@ -492,10 +492,10 @@ class PolyA:
 class RatK:
     """An element of K = F_q(T) in lowest terms with monic denominator.
 
-    A denominator of degree 1, l*(T - r), shares a factor with the
-    numerator iff the numerator vanishes at r; Horner's rule at r gives
-    that value and the quotient by T - r, so only a denominator of degree
-    >= 2 runs Euclid.
+    A constant denominator l scales the numerator by l^-1.  One of degree
+    1, l*(T - r), shares a factor with the numerator iff that vanishes at
+    r; Horner's rule at r gives the value and the quotient by T - r, so
+    only a denominator of degree >= 2 runs Euclid.
     """
 
     __slots__ = ("num", "den")
@@ -507,7 +507,9 @@ class RatK:
         deg = den.degree
         if deg < 0:
             raise ZeroDivisionError("zero denominator")
-        if deg == 1:
+        if deg == 0 and den.coeffs != (1,):
+            num, den = _scaled(num, field.inv(den.coeffs[0])), PolyA.one(field)
+        elif deg == 1:
             l0, l1 = den.coeffs
             add, mul = field.add, field.mul
             x = field.inv(l1)
@@ -532,10 +534,10 @@ class RatK:
             if g.degree > 0:
                 num = num // g
                 den = den // g
-        lead = den.coeffs[-1]
-        if lead != 1:
-            x = field.inv(lead)
-            num, den = _scaled(num, x), _scaled(den, x)
+            lead = den.coeffs[-1]
+            if lead != 1:
+                x = field.inv(lead)
+                num, den = _scaled(num, x), _scaled(den, x)
         self.num = num
         self.den = den
 

@@ -16,7 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import drinfeld
-from drinfeld import Parity, cli
+from drinfeld import Parity, PolyA, cli
 from drinfeld.cli import SECTIONRING_WEIGHT_MAX, main
 
 
@@ -349,6 +349,42 @@ def test_cusps_work_bounds_name_the_size_and_the_limit(capsys):
     code, out, err = run(capsys, "cusps", "--q", "3", "--group", "gamma0:T^3")
     assert (code, out) == (3, "")
     assert "CUSP_LEVEL_DEG_LIMIT = 2: the level has degree 3" in err
+
+
+# q = 3 quadratic levels of each factor type (irreducible, split, square),
+# F_9 under both moduli, a linear level at q = 27 and the full group
+_CUSPS_REQUESTS = (
+    [
+        ("--q", "3", "--group", "%s:%s" % (family, level))
+        for family in ("gammaN", "gamma1", "gamma0")
+        for level in ("T^2+1", "T^2+2", "T^2")
+    ]
+    + [("--q", "9", "--modulus", m, "--group", "gamma0:T+1") for m in ("1,0,1", "2,1,1")]
+    + [("--q", "27", "--group", "gammaN:T+1"), ("--q", "7", "--group", "full!one")]
+)
+
+
+@pytest.mark.parametrize("argv", _CUSPS_REQUESTS, ids=" ".join)
+def test_a_cusps_request_does_no_polynomial_arithmetic_after_parsing(capsys, monkeypatch, argv):
+    calls = dict.fromkeys(("__divmod__", "gcd", "__mul__"), 0)
+    for name in calls:
+
+        def counted(*args, name=name, original=getattr(PolyA, name)):
+            calls[name] += 1
+            return original(*args)
+
+        monkeypatch.setattr(PolyA, name, counted)
+    parse_group = cli.parse_group
+
+    def parsed(*args):
+        G = parse_group(*args)
+        calls.update(dict.fromkeys(calls, 0))
+        return G
+
+    monkeypatch.setattr(cli, "parse_group", parsed)
+    code, out, _ = run(capsys, "cusps", *argv)
+    assert code == 0 and out.startswith("count: ")
+    assert calls == {"__divmod__": 0, "gcd": 0, "__mul__": 0}
 
 
 def test_cusps_accepts_an_extension_field_modulus(capsys):

@@ -165,6 +165,15 @@ def _reference_cusps(G, field):
     res = _reference_polys(field, N.degree - 1)
     prim = [(u, v) for u in res for v in res if u.gcd(v).gcd(N) == one]
     key = lambda w: (w[0].sort_key(), w[1].sort_key())
+    products = {}
+
+    def times(a, u):
+        """a * u % N, each product of two residues computed once."""
+        k = (a.coeffs, u.coeffs)
+        if k not in products:
+            products[k] = a * u % N
+        return products[k]
+
     seen, keyed = set(), []
     for start in prim:
         if start in seen:
@@ -173,7 +182,8 @@ def _reference_cusps(G, field):
         while frontier:
             u, v = frontier.pop()
             for a, b, c, d in gens:
-                w = ((a * u + b * v) % N, (c * u + d * v) % N)
+                # a sum of two residues is reduced already
+                w = (times(a, u) + times(b, v), times(c, u) + times(d, v))
                 if w not in orbit:
                     orbit.add(w)
                     frontier.append(w)
@@ -197,11 +207,37 @@ _CUSP_GROUPS_Q9 = ["full", "full!sq", "full!idx4", "full!one"] + [
 ]
 
 
-@pytest.mark.parametrize(
-    "q, text", [(3, t) for t in _CUSP_GROUPS_Q3] + [(9, t) for t in _CUSP_GROUPS_Q9]
+
+def _groups(levels, suffixes=("", "!sq")):
+    return ["full" + suffix for suffix in suffixes] + [
+        "%s:%s%s" % (family, level, suffix)
+        for family in ("gammaN", "gamma1", "gamma0")
+        for level in levels
+        for suffix in suffixes
+    ]
+
+
+# non-monic levels: at q = 5 linear and one quadratic of each factor type
+# (irreducible, split, square), at q = 7 linear; F_9 under the second
+# modulus; linear levels at q = 25 and 27
+_CUSP_CASES = (
+    [(3, None, t) for t in _CUSP_GROUPS_Q3]
+    + [(9, None, t) for t in _CUSP_GROUPS_Q9]
+    + [(5, None, t) for t in _groups(["2*T+1", "2*T^2+4", "2*T^2+2*T", "2*T^2+4*T+2"])]
+    + [(7, None, t) for t in _groups(["3*T+2"])]
+    + [(9, (2, 1, 1), t) for t in _groups(["T+1", "a*T+a^2"])]
+    + [(25, None, t) for t in _groups(["a*T+1"])]
+    + [(27, None, t) for t in _groups(["a*T+1"])]
 )
-def test_cusps_match_the_closure_under_an_inverse_closed_generating_set(q, text):
-    F = get_field(q)
+
+
+@pytest.mark.parametrize(
+    "q, modulus, text",
+    _CUSP_CASES,
+    ids=["%d%s-%s" % (q, "/%d%d%d" % m if m else "", t) for q, m, t in _CUSP_CASES],
+)
+def test_cusps_match_the_closure_under_an_inverse_closed_generating_set(q, modulus, text):
+    F = get_field(q) if modulus is None else Fq(q, modulus=modulus)
     G = parse_group(text, F)
     assert cusps(G, F) == _reference_cusps(G, F)
 

@@ -3,9 +3,11 @@ and of the trace rule behind `elliptic_search`.
 
 Fields: F_3, F_5, F_7, F_9 under the moduli x^2 + 1 and x^2 + x + 2, F_25
 and F_27.  Levels have degree 1 or 2 within the residue-space bound
-q^(2 deg N) <= ELLIPTIC_BOX_LIMIT and any nonzero leading coefficient.  One
-orbit step read from the code tables is checked against the same step
-computed on PolyA, and code -> PolyA -> code against the identity.  The
+q^(2 deg N) <= ELLIPTIC_BOX_LIMIT and any nonzero leading coefficient.  The
+code tables are checked against the same arithmetic on PolyA: one orbit
+step, every entry of a multiplication table, the root-mask rule for
+primitive pairs and units (against gcds with N), the code order (against
+`PolyA.sort_key`), and code -> PolyA -> code against the identity.  The
 witness search allows every determinant for a nonconstant trace; that
 tr^2 - 4*delta is then a nonzero non-square is checked with `poly_sqrt`.
 """
@@ -34,27 +36,67 @@ def levels(draw):
     return PolyA(F, [FqElem(F, c) for c in codes])
 
 
+def _code(res, f):
+    """The code of a reduced residue f, from its coefficients."""
+    return sum(c * p for c, p in zip(f.coeffs, res.place))
+
+
 @SEEDED
 @given(levels(), st.data())
 def test_a_table_step_is_the_step_on_polynomials(N, data):
     res = _Residues(N)
-    R = len(res.polys)
+    R = len(res.order)
     assert R == N.field.q ** N.degree
     a, b, c, d, u, v = (data.draw(st.integers(0, R - 1)) for _ in range(6))
-    ma, mb, mc, md = (res.mul_table(res.polys[m]) for m in (a, b, c, d))
-    add = res.add_table()
-    x = add[ma[u]][mb[v]]
-    y = add[mc[u]][md[v]]
-    A, B, C, D, U, V = (res.polys[r] for r in (a, b, c, d, u, v))
-    assert (res.polys[x], res.polys[y]) == ((A * U + B * V) % N, (C * U + D * V) % N)
+    ma, mb, mc, md = (res.mul_table(m) for m in (a, b, c, d))
+    x = res.add[ma[u]][mb[v]]
+    y = res.add[mc[u]][md[v]]
+    A, B, C, D, U, V = (res.poly(r) for r in (a, b, c, d, u, v))
+    assert (res.poly(x), res.poly(y)) == ((A * U + B * V) % N, (C * U + D * V) % N)
 
 
 @SEEDED
 @given(levels())
 def test_codes_and_residues_round_trip(N):
     res = _Residues(N)
-    assert [res.code(f) for f in res.polys] == list(range(len(res.polys)))
-    assert all(f.degree < N.degree for f in res.polys)
+    R = len(res.order)
+    assert [_code(res, res.poly(r)) for r in range(R)] == list(range(R))
+    assert all(res.poly(r).degree < N.degree for r in range(R))
+
+
+@SEEDED
+@given(levels(), st.data())
+def test_a_multiplication_table_is_multiplication_mod_the_level(N, data):
+    res = _Residues(N)
+    R = len(res.order)
+    m = data.draw(st.integers(0, R - 1))
+    M = res.poly(m)
+    assert res.mul_table(m) == [_code(res, M * res.poly(r) % N) for r in range(R)]
+
+
+@SEEDED
+@given(levels())
+def test_the_root_masks_decide_units_and_primitive_pairs(N):
+    res = _Residues(N)
+    one = PolyA.one(N.field)
+    polys = [res.poly(r) for r in range(len(res.order))]
+    units = [f.gcd(N) == one for f in polys]
+    assert units == [not mask for mask in res.mask]
+    # a pair with a unit in it is primitive under both rules, so the pairs
+    # of non-units decide the rest
+    others = [r for r, unit in enumerate(units) if not unit]
+    for u in others:
+        for v in others:
+            primitive = polys[u].gcd(polys[v]).gcd(N) == one
+            assert primitive == (not res.mask[u] & res.mask[v])
+
+
+@SEEDED
+@given(levels())
+def test_the_code_order_is_the_sort_key_order(N):
+    res = _Residues(N)
+    R = len(res.order)
+    assert res.order == sorted(range(R), key=lambda r: res.poly(r).sort_key())
 
 
 @SEEDED

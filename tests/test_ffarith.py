@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import itertools
 import random
 
 import pytest
@@ -204,6 +205,25 @@ def test_expand_cancels_common_factors():
     x = RatK(parse_poly("T^2+T", F3), PolyA.T(F3))
     assert laurent_expand(x, 10) == laurent_expand(RatK(parse_poly("T+1", F3)), 10)
     assert laurent_expand(x, 10).val == -1
+
+
+@pytest.mark.parametrize("q", [3, 5, 7, 9])
+def test_a_constant_denominator_agrees_with_the_generic_path(q):
+    """num/l for every constant l != 0 is num * l^-1 over 1, the canonical
+    form that (num * T^2)/(l * T^2) reaches through Euclid and the monic
+    scaling of a denominator of degree >= 2."""
+    F = get_field(q)
+    t2 = parse_poly("T^2", F)
+    elems = [FqElem(F, c) for c in range(q)]
+    nums = [PolyA(F, list(c)) for c in itertools.product(elems, repeat=3)]
+    for l in elems[1:]:
+        den = PolyA(F, [l])
+        for num in nums:
+            x = RatK(num, den)
+            assert x.den.coeffs == (1,)
+            assert x.num == num * l.inverse()
+            generic = RatK(num * t2, den * t2)
+            assert (x.num, x.den) == (generic.num, generic.den)
 
 
 def test_expand_zero_gives_zero_series():
