@@ -1,17 +1,17 @@
 """Command-line interface: every computation behind subcommands with table
 and JSON output.
 
-Exit codes: 0 success (including an undecided parity search), 1 standard
-output closed before everything was written (`console_main` only), 2 parse
-or validation errors, 3 work-bound exhaustion, 4 support violations in
-series input.
+Exit codes: 0 success, 1 standard output closed before everything was
+written (`console_main` only), 2 parse or validation errors, 3 work-bound
+exhaustion, 4 support violations in series input.
 
 Each subcommand builds one result dict.  JSON output prints it under a
 fixed head ("schema": "drinfeld/1", "command", "q") with the module's own
-writer `_json`, which appends the text as pieces to one list and joins it
-once; the table format prints lines rendered from the same dict.  Integer
-options are read by `ffarith.parse_int`, so an over-long literal is refused
-by its length and never echoed.
+writer `_json`, which takes exactly the types these dicts hold and appends
+the text as pieces to one list, joined once; the table format prints lines
+rendered from the same dict.  Integer options are read by
+`ffarith.parse_int`, so an over-long literal is refused by its length and
+never echoed.
 
 `main` builds the argument parser on its first call and reuses it for every
 later call in the process; importing the module builds nothing.  The
@@ -77,33 +77,34 @@ def _modulus(args):
 
 
 def _json(x, _quote=json.encoder.encode_basestring_ascii):
-    """x as indent-2 JSON text, as the json module writes it (str, int, bool,
-    None, list, str-keyed dict); anything else raises TypeError.
+    """x, a dict or list as the subcommands build it, as indent-2 JSON text
+    the way the json module writes it.  Values are exactly dict (str keys),
+    list, str, int, bool or None; anything else, subclasses too, raises TypeError.
 
     The text is appended as pieces to one list, joined once at the end.  A
     str, int, bool or None child is put in place with no call, and only a
-    non-empty dict or list recurses.  The brackets and separators of each
-    depth, the head of each key and the quoted text of each str value are
-    made once per call and put as the same object wherever they recur.
+    dict or list recurses.  The brackets and separators of each depth, the
+    head of each key and the quoted text of each str value are made once
+    per call and put as the same object wherever they recur.
     """
-    text = _leaf(x)
-    if text is not None:
-        return text
+    if x.__class__ is not dict and x.__class__ is not list:
+        raise TypeError("cannot write %s as JSON" % type(x).__name__)
     pieces, marks, heads, quoted = [], [], {}, {}
     put = pieces.append
 
     def write(x, depth):
+        if not x:
+            put("{}" if x.__class__ is dict else "[]")
+            return
         if depth == len(marks):
             pad = "\n" + "  " * depth
             inner = pad + "  "
             marks.append(("{" + inner, "[" + inner, "," + inner, pad + "}", pad + "]"))
         open_dict, open_list, comma, close_dict, close_list = marks[depth]
-        if isinstance(x, dict):
+        if x.__class__ is dict:
             keyed, items, sep, close = True, x.items(), open_dict, close_dict
-        elif isinstance(x, list):
-            keyed, items, sep, close = False, enumerate(x), open_list, close_list
         else:
-            raise TypeError("cannot write %s as JSON" % type(x).__name__)
+            keyed, items, sep, close = False, enumerate(x), open_list, close_list
         depth += 1
         for k, v in items:
             put(sep)
@@ -123,32 +124,14 @@ def _json(x, _quote=json.encoder.encode_basestring_ascii):
                 put("null" if v is None else "true" if v else "false")
             elif kind is int:
                 put(int.__repr__(v))
-            elif (kind is dict or kind is list) and v:
+            elif kind is dict or kind is list:
                 write(v, depth)
             else:
-                # a subclass, an empty container or an unwritable value
-                text = _leaf(v)
-                if text is None:
-                    write(v, depth)
-                else:
-                    put(text)
+                raise TypeError("cannot write %s as JSON" % kind.__name__)
         put(close)
 
     write(x, 0)
     return "".join(pieces)
-
-
-def _leaf(x, _quote=json.encoder.encode_basestring_ascii):
-    """The JSON text of a str, int, bool, None, or empty dict or list; None otherwise."""
-    if isinstance(x, str):
-        return _quote(x)
-    if x is None or x is True or x is False:
-        return "null" if x is None else "true" if x else "false"
-    if isinstance(x, int):
-        return int.__repr__(x)
-    if isinstance(x, (dict, list)) and not x:
-        return "{}" if isinstance(x, dict) else "[]"
-    return None
 
 
 def _emit(args, result, table):
@@ -199,7 +182,7 @@ def cmd_parity(args):
     result = {
         "group": str(G),
         "deg_bound": args.deg_bound,
-        "classification": "undecided" if p.kind == "NoWitnessFound" else p.kind,
+        "classification": p.kind,
         "bound": p.bound,
         "witness": _witness_payload(field, p.witness, {}) if p.witness else None,
     }
@@ -207,10 +190,7 @@ def cmd_parity(args):
 
 
 def _parity_table(r):
-    shown = r["classification"]
-    if shown == "undecided":
-        shown = "undecided(%d)" % r["bound"]
-    yield "classification: %s" % shown
+    yield "classification: %s" % r["classification"]
     w = r["witness"]
     if w is not None:
         yield "witness: %s" % _matrix_text(w)

@@ -3,9 +3,9 @@
 Three computations give invariants of a congruence subgroup:
 
   * cusps: orbits of primitive vectors in (A/N)^2 under the group's image
-    mod N together with scalar rescaling, found by forward closure under a
-    small generating set per family (the group mod N is finite, so no
-    inverses are needed; the torus comes from a generating set of
+    mod N and the scalars, closed one scalar class at a time under a small
+    generating set of the image per family (the group mod N is finite, so
+    no inverses are needed; the torus comes from a generating set of
     (A/N)^x).  After parsing, residues are int codes: multiplication tables
     by linearity, primitivity by the roots of N and the codes walked in
     sort-key order, with no polynomial arithmetic (see `_Residues`);
@@ -74,16 +74,16 @@ class EllipticWitness(
 
 
 class Parity(namedtuple("Parity", "kind bound witness")):
-    """Square / non-square classification, honest about the search bound.
+    """Square / non-square classification with the degree bound searched.
 
-    kind is "Square", "NonSquare", or "NoWitnessFound"; a NonSquare result
-    stores an EllipticWitness with non-square determinant, the others None.
+    kind is "Square" or "NonSquare"; a NonSquare result stores an
+    EllipticWitness with non-square determinant, a Square one None.
     """
 
     __slots__ = ()
 
     def __new__(cls, kind, bound, witness=None):
-        if kind not in ("Square", "NonSquare", "NoWitnessFound"):
+        if kind not in ("Square", "NonSquare"):
             raise ValueError("unknown parity kind %r" % (kind,))
         if kind == "NonSquare":
             if witness is None or witness.det_is_square:
@@ -176,14 +176,14 @@ class _Residues:
 
 
 def _mod_n_generators(G, res):
-    """A generating set of <image of G mod N, scalars>, as code tables.
+    """A generating set of the image of G mod N, as code tables.
 
     A generator (a, b; c, d) of residue codes is returned as the four
     tables `res.mul_table` of its entries, one table per distinct entry.
     The group mod N is finite, so a forward closure under any generating
-    set reaches a whole orbit and no inverses are listed.  gen*I generates
-    the scalars, which realize the F_q^x rescaling of primitive vectors.
-    The rest generate the group's image mod N: the elementary matrices
+    set reaches a whole orbit and no inverses are listed.  The scalars are
+    left to `cusps`, which walks their classes; gammaN has the trivial
+    image and no generator.  The others have the elementary matrices
     (1, x; 0, 1), and (1, 0; x, 1) for the full group, with x over the
     F_p-basis a_j T^i of A/N (code p^j times the place of T^i); one
     diagonal matrix whose determinant generates the allowed determinant
@@ -192,33 +192,32 @@ def _mod_n_generators(G, res):
     That set is found by walking the units (mask 0) in code order and
     keeping r when it is not yet in the subgroup the kept ones generate.
     """
+    if G.family == "gammaN":
+        return []
     field = res.field
     one = res.place[0]  # the code of the constant 1
     tables = {}
-    scalar = field.gen.code * one
-    gens = [(scalar, 0, 0, scalar)]
-    if G.family != "gammaN":
-        basis = [field.p**j * v for v in res.place for j in range(field.e)]
-        gens.extend((one, x, 0, one) for x in basis)
-        det_vals = G.det_values(field)
-        delta = det_vals[1 % len(det_vals)].code * one
-        if G.family == "gamma1":
-            gens.append((one, 0, 0, delta))
-        else:
-            span = {one}
-            for r, mask in enumerate(res.mask):
-                if r in span or mask:
-                    continue
-                mul = tables[r] = res.mul_table(r)
-                gens.append((r, 0, 0, mul.index(one)))
-                # add the cosets r^k * span until r^k lies in span
-                coset = [mul[s] for s in span]
-                while coset[0] not in span:
-                    span.update(coset)
-                    coset = [mul[s] for s in coset]
-            gens.append((delta, 0, 0, one))
-            if G.family == "full":
-                gens.extend((one, 0, x, one) for x in basis)
+    basis = [field.p**j * v for v in res.place for j in range(field.e)]
+    gens = [(one, x, 0, one) for x in basis]
+    det_vals = G.det_values(field)
+    delta = det_vals[1 % len(det_vals)].code * one
+    if G.family == "gamma1":
+        gens.append((one, 0, 0, delta))
+    else:
+        span = {one}
+        for r, mask in enumerate(res.mask):
+            if r in span or mask:
+                continue
+            mul = tables[r] = res.mul_table(r)
+            gens.append((r, 0, 0, mul.index(one)))
+            # add the cosets r^k * span until r^k lies in span
+            coset = [mul[s] for s in span]
+            while coset[0] not in span:
+                span.update(coset)
+                coset = [mul[s] for s in coset]
+        gens.append((delta, 0, 0, one))
+        if G.family == "full":
+            gens.extend((one, 0, x, one) for x in basis)
     tables.update((m, res.mul_table(m)) for m in set(itertools.chain(*gens)) - tables.keys())
     return [tuple(map(tables.__getitem__, gen)) for gen in gens]
 
@@ -229,9 +228,12 @@ def cusps(G, field=None):
     The full group uses the internal level T (any level gives one orbit
     since the action is transitive).  Levels of degree > 2 exceed the
     work bound.  The closure runs on residue codes: one step reads four
-    multiplication tables and the addition table twice.  The primitive
-    vectors (disjoint root masks) are walked in sort-key order, so each new
-    orbit starts at its least element; only these sorted reps become PolyA.
+    multiplication tables and the addition table twice.  The scalars act
+    freely on primitive vectors and commute with the image, so the walk
+    steps one popped vector per class c*(u, v), marking the class along the
+    table of gen*1; an orbit has q - 1 times as many vectors as classes.
+    Primitive vectors (disjoint root masks) are walked in sort-key order, so
+    each new orbit starts at its least element; only these reps become PolyA.
     """
     field = G.field_for(field)
     N = G.level if G.level is not None else PolyA.T(field)
@@ -242,24 +244,28 @@ def cusps(G, field=None):
         )
     res = _Residues(N)
     order, mask, add = res.order, res.mask, res.add
-    R = len(order)
+    R, units = len(order), field.q - 1
     prim = [(u, v) for u in order for v in order if not mask[u] & mask[v]]
     gens = _mod_n_generators(G, res)
+    scale = res.mul_table(field.gen.code * res.place[0])
     seen = bytearray(R * R)
     reps, sizes = [], []
     for u0, v0 in prim:
         if seen[u0 * R + v0]:
             continue
-        seen[u0 * R + v0] = 1
-        stack, size = [(u0, v0)], 1
+        stack, size = [(u0, v0)], 0
         while stack:
             u, v = stack.pop()
+            if seen[u * R + v]:
+                continue
+            size += units
+            for _ in range(units):  # gen has order q - 1: this ends at (u, v)
+                seen[u * R + v] = 1
+                u, v = scale[u], scale[v]
             for ma, mb, mc, md in gens:
                 x = add[ma[u]][mb[v]]
                 y = add[mc[u]][md[v]]
                 if not seen[x * R + y]:
-                    seen[x * R + y] = 1
-                    size += 1
                     stack.append((x, y))
         reps.append((u0, v0))
         sizes.append(size)
@@ -419,14 +425,15 @@ def parity(G, deg_bound, field=None):
     The a-blocks of `elliptic_search` are read up to the first non-empty
     one: its first non-square-determinant witness gives NonSquare, and
     without one the result is Square.  That block decides, as it holds a
-    witness of every allowed non-square delta.  Proof: a box element with
+    witness of every allowed non-square delta, and one exists (an empty
+    search raises AssertionError).  Proof: a box element with
     c != 0 is a witness when tr^2 - 4*delta is a nonzero non-square in A,
     as it is for every nonconstant trace (see `_witness_blocks`).
       * full: a = 0 comes first; there b, c are constants with bc = -delta
-        and d = tr is free.  As 4*delta is a non-square, the character sum
-        sum_t chi(t^2 - 4*delta) = -1 (t^2 - s^2 = D != 0 has q - 1
-        solutions) has no zero term, so (q+1)/2 constants t make
-        (0, -delta/c, c, t) a witness.
+        and d = tr is free.  The character sum sum_t chi(t^2 - 4*delta)
+        = -1 (t^2 - s^2 = D != 0 has q - 1 solutions) has no zero term for
+        a non-square delta and two for a square one, so (q+1)/2, resp.
+        (q-1)/2, constants t make (0, -delta/c, c, t) a witness.
       * gamma1: (a'N + 1, delta, a'N, delta) is a witness for a' != 0.  At
         a = 1, d = delta + bc'N: at deg-bound 0 that forces b = 0 and the
         discriminant (1 - delta)^2, so the block is empty; above it,
@@ -437,13 +444,10 @@ def parity(G, deg_bound, field=None):
         constant a forces b = 0 and the discriminant (a - d)^2 at
         deg-bound 0, and gives the witness (a, a, N, delta/a + N) above.
     """
-    for block in _witness_blocks(G, deg_bound, field):
-        if block:
-            w = next((w for w in block if not w.det_is_square), None)
-            if w is None:
-                return Parity("Square", deg_bound)
-            return Parity("NonSquare", deg_bound, w)
-    return Parity("NoWitnessFound", deg_bound)
+    for block in filter(None, _witness_blocks(G, deg_bound, field)):
+        w = next((w for w in block if not w.det_is_square), None)
+        return Parity("NonSquare" if w else "Square", deg_bound, w)
+    raise AssertionError("every a-block of the witness search is empty")
 
 
 def assemble_invariants(preset, field):

@@ -50,6 +50,7 @@ from math import comb, gcd, lcm
 from operator import add, mul
 
 from .ffarith import WorkBoundError
+from .weights import _units
 
 PRESENTATION_WORK_BUDGET = 50_000
 
@@ -157,7 +158,7 @@ def h0_weighted(preset, q, k, l):
         raise ValueError("unknown preset %r" % (preset,))
     if k <= 0 or k % 2 != 0:
         raise ValueError("weight must be even and positive")
-    if not 0 <= l < q - 1:
+    if not 0 <= l < _units(q):
         raise ValueError("type must be reduced mod q-1")
     alpha = Fraction(2 * k - 2 * l - k * q, k * (q - 1))
     value = k * alpha + k + 1

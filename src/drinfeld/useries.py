@@ -148,13 +148,8 @@ def split(f, k, q):
     """
     if k < 0:
         raise ValueError("weight k must be nonnegative, got %d" % k)
-    if k % 2 != 0:
-        raise ValueError("weight must be even")
-    if q != f.field.q:
-        raise ValueError("field size mismatch")
-    for n in f.support():
-        if (2 * n - k) % (q - 1) != 0:
-            raise SupportError(n)
+    if not check_support(f, k, q):
+        raise SupportError(next(n for n in f.support() if (2 * n - k) % (q - 1)))
     l_arg = f.type_residue if f.type_residue is not None else k // 2
     l1, l2 = decompose_gamma2(k, l_arg, q)
     half = k // 2 % (q - 1)

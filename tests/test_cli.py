@@ -16,7 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import drinfeld
-from drinfeld import Parity, PolyA, cli
+from drinfeld import PolyA, cli
 from drinfeld.cli import SECTIONRING_WEIGHT_MAX, main
 
 
@@ -73,22 +73,6 @@ def test_parity_of_a_square_determinant_group(capsys):
     payload = run_json(capsys, "parity", "--q", "3", "--group", "gamma0:T!sq")
     assert payload["classification"] == "Square"
     assert payload["witness"] is None
-
-
-def test_parity_reports_undecided_searches_with_exit_zero(capsys, monkeypatch):
-    # no group and bound >= 0 is known whose witness box comes up empty, so
-    # the rendering of an undecided search is checked on a stubbed result
-    monkeypatch.setattr(
-        "drinfeld.cli.parity", lambda G, bound, field: Parity("NoWitnessFound", 0)
-    )
-    code, out, err = run(capsys, "parity", "--q", "3", "--group", "gamma0:T")
-    assert code == 0
-    assert out.splitlines()[0] == "classification: undecided(0)"
-    payload = run_json(capsys, "parity", "--q", "3", "--group", "gamma0:T")
-    assert payload["classification"] == "undecided"
-    assert payload["bound"] == 0
-    assert payload["witness"] is None
-    assert "".join(line + "\n" for line in cli._parity_table(payload)) == out
 
 
 @pytest.mark.parametrize("command", ["parity", "ellsearch"])
@@ -872,10 +856,12 @@ _JSON_VALUES = st.recursive(
 
 
 def test_the_json_writer_writes_what_json_dumps_writes():
+    # the writer takes payloads, so each drawn value is written inside one
     @settings(derandomize=True, max_examples=400, deadline=None)
     @given(_JSON_VALUES)
     def check(x):
-        assert cli._json(x) == json.dumps(x, indent=2)
+        payload = {"schema": "drinfeld/1", "value": x}
+        assert cli._json(payload) == json.dumps(payload, indent=2)
 
     check()
 
@@ -888,30 +874,18 @@ def test_the_json_writer_keeps_bools_apart_from_ints():
     assert kinds == [bool, int, bool, int, type(None)]
 
 
-def test_the_json_writer_refuses_other_types():
-    for x in (1.5, (1, 2), {1: "a"}):
-        with pytest.raises(TypeError):
-            cli._json(x)
+@pytest.mark.parametrize("x", ["x", 1, 1.5, (1, 2)], ids=["str", "int", "float", "tuple"])
+def test_the_json_writer_refuses_a_top_level_scalar_and_prints_nothing(capsys, x):
+    with pytest.raises(TypeError):
+        cli._json(x)
+    args = argparse.Namespace(format="json", command="ellsearch", q=3)
+    with pytest.raises(TypeError):
+        cli._emit(args, x, None)
+    assert capsys.readouterr().out == ""
 
 
 class _Float(float):
     pass
-
-
-@pytest.mark.parametrize(
-    "bad", [1.5, _Float(2.0), (1, 2), {1, 2}, b"x", {1: "a"}],
-    ids=["float", "float-subclass", "tuple", "set", "bytes", "int-key"],
-)
-def test_the_json_writer_refuses_a_value_nested_three_deep_and_writes_nothing(
-    capsys, bad
-):
-    payload = {"witnesses": [{"det": "1", "matrix": [["T", bad]]}]}
-    with pytest.raises(TypeError):
-        cli._json(payload)
-    args = argparse.Namespace(format="json", command="ellsearch", q=3)
-    with pytest.raises(TypeError):
-        cli._emit(args, payload, None)
-    assert capsys.readouterr().out == ""
 
 
 class _Str(str):
@@ -930,16 +904,36 @@ class _List(list):
     pass
 
 
-def test_the_json_writer_takes_what_isinstance_takes_and_empty_containers_in_place():
-    # the writer dispatches on the exact class first: a subclass of a
-    # written type is still written, as json.dumps writes it
+@pytest.mark.parametrize(
+    "bad",
+    [
+        1.5, _Float(2.0), (1, 2), {1, 2}, b"x", {1: "a"},
+        _Str("sub"), _Int(5), _Dict(k=1), _Dict(), _List([1]), _List(),
+    ],
+    ids=[
+        "float", "float-subclass", "tuple", "set", "bytes", "int-key",
+        "str-subclass", "int-subclass", "dict-subclass", "empty-dict-subclass",
+        "list-subclass", "empty-list-subclass",
+    ],
+)
+def test_the_json_writer_refuses_a_value_nested_three_deep_and_writes_nothing(
+    capsys, bad
+):
+    payload = {"witnesses": [{"det": "1", "matrix": [["T", bad]]}]}
+    with pytest.raises(TypeError):
+        cli._json(payload)
+    args = argparse.Namespace(format="json", command="ellsearch", q=3)
+    with pytest.raises(TypeError):
+        cli._emit(args, payload, None)
+    assert capsys.readouterr().out == ""
+
+
+def test_the_json_writer_puts_empty_containers_in_place():
     xs = [
-        "top", 7, -(10**30), True, False, None, {}, [],
+        {}, [],
         {"a": {}, "b": [], "c": [[], {}, [{}]], "d": {"e": [[]]}},
         [[[]], {}, [{}, []], ""],
-        {"s": _Str("sub"), "i": _Int(5), "d": _Dict(k=_List([1, _Str("x")])), "e": _Dict()},
-        _List([_Dict(a=_List()), _Int(0), _Str('"')]),
-        _Str("top"), _Int(-3), _Dict(), _List(),
+        {"schema": "drinfeld/1", "v_other": [], "witnesses": [], "relations": [{}]},
     ]
     for x in xs:
         assert cli._json(x) == json.dumps(x, indent=2), x

@@ -29,6 +29,7 @@ from drinfeld import (
     parse_group,
     parse_poly,
 )
+from drinfeld.curveinv import ELLIPTIC_BOX_LIMIT
 from conftest import get_field, poly_sqrt
 
 
@@ -583,10 +584,11 @@ def test_square_determinant_witnesses_exist_alongside_non_square_ones(q):
 
 def _parity_from_the_full_list(G, deg_bound, F):
     ws = elliptic_search(G, deg_bound, F)
+    assert ws, "an admissible search finds a witness"
     non_square = [w for w in ws if not w.det_is_square]
     if non_square:
         return Parity("NonSquare", deg_bound, non_square[0])
-    return Parity("Square" if ws else "NoWitnessFound", deg_bound)
+    return Parity("Square", deg_bound)
 
 
 @pytest.mark.parametrize("q, modulus, deg_bound", _SEARCH_CASES + [(7, None, 0)])
@@ -603,6 +605,55 @@ def test_parity_is_the_first_non_square_witness_of_the_full_list(
     assert p._replace(witness=_plain(p.witness)) == expected._replace(
         witness=_plain(expected.witness)
     )
+
+
+def _parity_oracle_cases():
+    """(q, modulus, descriptor, deg_bound): full, and gamma0 and gamma1 at
+    three linear levels, with every determinant index m | q - 1, at
+    deg-bound 0 and at deg-bound 1 where the box fits."""
+    fields = [(q, None) for q in (3, 5, 7, 11, 13)] + [(9, (1, 0, 1)), (9, (2, 1, 1))]
+    for q, modulus in fields:
+        levels = ["T", "T+1", "a*T+1" if modulus else "2*T+1"]
+        groups = ["full"] + ["%s:%s" % (f, t) for f in ("gamma0", "gamma1") for t in levels]
+        for text in groups:
+            params = 5 if text.startswith("gamma0") else 4
+            for deg_bound in (0, 1):
+                if q ** ((deg_bound + 1) * params) > ELLIPTIC_BOX_LIMIT:
+                    continue
+                for m in range(1, q):
+                    if (q - 1) % m == 0:
+                        yield q, modulus, "%s!idx%d" % (text, m), deg_bound
+
+
+_PARITY_ORACLE_CASES = list(_parity_oracle_cases())
+
+
+def test_the_parity_oracle_covers_every_field_family_and_index():
+    assert len(_PARITY_ORACLE_CASES) == 215
+
+
+@pytest.mark.parametrize(
+    "q, modulus, text, deg_bound",
+    _PARITY_ORACLE_CASES,
+    ids=[
+        "q%d%s-%s-deg%d" % (q, "" if m is None else "-mod" + "".join(map(str, m)), t, d)
+        for q, m, t, d in _PARITY_ORACLE_CASES
+    ],
+)
+def test_parity_is_non_square_exactly_when_the_determinant_index_is_odd(
+    q, modulus, text, deg_bound
+):
+    # F_q^x is cyclic of even order q - 1, so its index-m subgroup (the
+    # allowed determinants) holds a non-square iff m is odd
+    F = get_field(q) if modulus is None else Fq(q, modulus=modulus)
+    G = parse_group(text, F)
+    p = parity(G, deg_bound, F)
+    if G.det_index % 2:
+        assert p.kind == "NonSquare" and p.bound == deg_bound
+        assert not p.witness.det_is_square and not is_square_fq(p.witness.det)
+        assert p.witness.det.code in {x.code for x in G.det_values(F)}
+    else:
+        assert p == Parity("Square", deg_bound)
 
 
 def test_parity_checks_its_arguments_before_any_work():
@@ -630,8 +681,8 @@ def test_parity_records_validate_their_shape():
     square = next(w for w in ws if w.det_is_square)
     with pytest.raises(ValueError):
         Parity("NonSquare", 0, square)
-    undecided = Parity("NoWitnessFound", 3)
-    assert undecided.bound == 3
+    with pytest.raises(ValueError):
+        Parity("NoWitnessFound", 3)  # an admissible search always decides
 
 
 # ------------------------------------------------------- preset invariants

@@ -194,6 +194,17 @@ def test_weighted_h0_validates_arguments():
         h0_weighted("Gamma0T_2", 5, 8, -1)
 
 
+@pytest.mark.parametrize("q", [-1, 0, 1, 2, 4, 8, 15])
+def test_weighted_h0_refuses_q_as_the_weight_functions_do(q):
+    # the check is weights._units: h0_weighted(..., 2, 4, 0) once returned 5
+    with pytest.raises(ValueError) as refused:
+        dim_gamma0T(4, 0, q)
+    with pytest.raises(ValueError) as raised:
+        h0_weighted("Gamma0T_2", q, 4, 0)
+    assert str(raised.value) == str(refused.value)
+    assert "prime power" in str(raised.value)
+
+
 @pytest.mark.parametrize("q", [3, 5, 7])
 def test_weighted_h0_agrees_with_dimension_formula_and_divisor(q):
     inv = assemble_invariants("Gamma0T_2", get_field(q))

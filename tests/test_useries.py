@@ -141,8 +141,8 @@ def test_split_sorts_support_into_the_two_type_classes(F5):
 
 
 def test_split_raises_at_the_first_unsupported_exponent(F5):
-    f = parse_useries("u^2+u^3", F5)
-    with pytest.raises(SupportError) as info:
+    f = parse_useries("u^2+u^7+u^3", F5)
+    with pytest.raises(SupportError, match="^unsupported exponent 3$") as info:
         split(f, 4, 5)
     assert info.value.exponent == 3
     assert isinstance(info.value, ValueError)
@@ -150,10 +150,17 @@ def test_split_raises_at_the_first_unsupported_exponent(F5):
 
 def test_split_validates_weight_parity_and_type_compatibility(F5):
     f = parse_useries("u^2", F5)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^weight must be even$"):
         split(f, 3, 5)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^field size mismatch$"):
         split(f, 4, 7)
+    # the checks run in this order: sign, parity, field size, support
+    with pytest.raises(ValueError, match="^weight k must be nonnegative, got -3$"):
+        split(parse_useries("u^3", F5), -3, 7)
+    with pytest.raises(ValueError, match="^weight must be even$"):
+        split(parse_useries("u^3", F5), 3, 7)
+    with pytest.raises(ValueError, match="^field size mismatch$"):
+        split(parse_useries("u^3", F5), 4, 7)
     typed = USeries.from_terms(F5, {2: 1}, weight=4, type_residue=1)
     with pytest.raises(ValueError):
         split(typed, 4, 5)
