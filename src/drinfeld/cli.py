@@ -44,9 +44,9 @@ from .ffarith import (
     format_poly,
     parse_int,
 )
-from .qdiv import h0_weighted, log_canonical_divisor, presentation
+from .qdiv import _h0_gamma0T, log_canonical_divisor, presentation
 from .useries import SupportError, parse_useries, split
-from .weights import VanishingProfile, dim_gamma0T, type_solutions, valence_check
+from .weights import VanishingProfile, _dim_gamma0T, _type_solutions, valence_check
 
 SCHEMA = "drinfeld/1"
 DIMS_K_MAX = 1000
@@ -208,13 +208,13 @@ def cmd_dims(args):
             "--k-max %d exceeds the supported maximum DIMS_K_MAX = %d"
             % (args.k_max, DIMS_K_MAX)
         )
-    check_field(args.q, _modulus(args))  # reads only q: no field tables
+    check_field(args.q, _modulus(args))  # the one check of q; no field tables
     q = args.q
     rows = []
     for k in range(2, args.k_max + 1, 2):
-        for l in sorted(type_solutions(k, q)):
-            dim = dim_gamma0T(k, l, q)
-            cross = h0_weighted("Gamma0T_2", q, k, l)
+        for l in sorted(_type_solutions(k, q)):
+            dim = _dim_gamma0T(k, l, q)
+            cross = _h0_gamma0T(q, k, l)
             rows.append(
                 {"k": k, "l": l, "dim": dim, "h0": cross, "agree": dim == cross}
             )

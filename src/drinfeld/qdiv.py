@@ -15,14 +15,15 @@ as relations once consequences of earlier relations are quotiented away.
 
 The walk over degrees is integer arithmetic: D's three coefficients are
 written over one common denominator, so floor(d*D), h^0 and the exponent
-offsets of each degree are three integer floor divisions.  A reachability
-list of the generator-degree monoid (reach[d] when some reach[d - g])
-says which degrees have products at all; only those list their monomials.
-A product's vector depends only on its exponent pair (M, B), so a degree
-reduces one monomial per pair: a later monomial of the same pair has one
-dependency, found without a reduction, e_idx - e_first when the first
-monomial was independent and the first one's dependency, relabelled,
-when it was not.
+offsets of each degree are three integer floor divisions.  A product's
+vector depends only on its exponent pair (M, B), so a degree reduces one
+vector per pair and lists no monomial to do so: a coin-change table of the
+generator degrees counts the monomials, and a degree's pairs are those of
+earlier degrees translated by the generators.  Monomials are listed only
+to quotient the kernel by earlier relations and to write new relations;
+there a later monomial of a pair has one dependency, found without a
+reduction: e_idx - e_first when the pair's first monomial was
+independent, and the first one's dependency, relabelled, when it was not.
 
 The row reduction is sparse and fraction-free: rows, their tracked
 expressions and the consequence rows of earlier relations are {column: int}
@@ -108,10 +109,7 @@ class QDivisor:
 
 def floor_div(D):
     """Componentwise floor; idempotent."""
-    out = {}
-    for pt, v in D.items():
-        out[pt] = Fraction(v.numerator // v.denominator)
-    return QDivisor(out)
+    return QDivisor({pt: Fraction(v.numerator // v.denominator) for pt, v in D.items()})
 
 
 def h0(D):
@@ -160,11 +158,13 @@ def h0_weighted(preset, q, k, l):
         raise ValueError("weight must be even and positive")
     if not 0 <= l < _units(q):
         raise ValueError("type must be reduced mod q-1")
-    alpha = Fraction(2 * k - 2 * l - k * q, k * (q - 1))
-    value = k * alpha + k + 1
-    if value.denominator == 1 and value > 0:
-        return int(value)
-    return 0
+    return _h0_gamma0T(q, k, l)
+
+
+def _h0_gamma0T(q, k, l):
+    """h0_weighted for a q already checked, even k > 0 and l in [0, q-1)."""
+    value = k * Fraction(2 * k - 2 * l - k * q, k * (q - 1)) + k + 1  # k*alpha + k + 1
+    return int(value) if value.denominator == 1 and value > 0 else 0
 
 
 class Generator(namedtuple("Generator", "degree t_exp s_exp")):
@@ -199,13 +199,8 @@ class Relation(namedtuple("Relation", "weight combo")):
         return tuple(exps for exps, coeff in self.combo if coeff != 0)
 
 
-class DegreeLog(
-    namedtuple(
-        "DegreeLog",
-        "weight h0 monomial_count span_rank kernel_count absorbed_count"
-        " new_generators new_relations",
-    )
-):
+class DegreeLog(namedtuple("DegreeLog", "weight h0 monomial_count span_rank kernel_count"
+                           " absorbed_count new_generators new_relations")):
     """Exact bookkeeping for one internal degree of the presentation run."""
 
     __slots__ = ()
@@ -311,14 +306,30 @@ def _monomials(degrees, total):
     return [exps + (rest // last,) for exps, rest in level if rest % last == 0]
 
 
+def _pairs(gens, firsts, d):
+    """Degree d's exponent pairs as dict keys, in lex-descending order of their first
+    (lex-largest) monomials, from firsts[x], the pairs of each x < d; gens run in index
+    order, none of degree above d.  Exact: for the first generator i to reach a pair, its
+    monomials holding e_i beat the rest, and adding e_i keeps lex order."""
+    return dict.fromkeys((t + g.t_exp, s + g.s_exp) for g in gens for t, s in firsts[d - g.degree])
+
+
+def _add_generator(gen, count, firsts):
+    """Count gen into count[x], the monomials of degree x, and put its pair last at its
+    own degree, where gen's monomial is the lex-smallest (it has the largest index)."""
+    for x in range(gen.degree, len(count)):
+        count[x] += count[x - gen.degree]
+    firsts[gen.degree].setdefault((gen.t_exp, gen.s_exp))
+
+
 def presentation(D, max_weight):
     """Generators and relations of the section ring of D up to max_weight.
 
-    Internal degree d carries weight 2d.  Per degree: evaluate all products
+    Internal degree d carries weight 2d.  Per degree: evaluate the products
     of chosen generators of total degree d as vectors in H^0(floor(d*D)),
-    track kernel vectors, quotient them by shifts of earlier relations, add
-    Riemann-Roch basis sections (ascending index) until the span fills the
-    space, and log the exact rank bookkeeping.
+    one per exponent pair, quotient the kernel by shifts of earlier
+    relations, add Riemann-Roch basis sections (ascending index) until the
+    span fills the space, and log the exact rank bookkeeping.
     """
     if max_weight < 2 or max_weight % 2 != 0:
         raise ValueError("max_weight must be an even integer >= 2")
@@ -327,59 +338,41 @@ def presentation(D, max_weight):
     den = lcm(*(v.denominator for v in coeffs))
     nz, no, ni = (v.numerator * (den // v.denominator) for v in coeffs)
     gens = []
-    degrees = []  # the generators' degrees
     relation_rows = []  # (degree, integer combination) for each relation
     logs = []
     budget = 0
-    reach = [True]  # reach[d]: some product of generators has degree d
+    count = [1] + [0] * (max_weight // 2)  # count[x]: the monomials of degree x
+    firsts = [{(0, 0): None}]  # firsts[x]: the exponent pairs of degree x
     for d in range(1, max_weight // 2 + 1):
         a, b = d * nz // den, d * no // den
         dim_h0 = max(0, a + b + d * ni // den + 1)
-        reach.append(any([reach[d - g] for g in degrees]))
-        monos = _monomials(degrees, d) if reach[d] else []
-        budget += (len(monos) + dim_h0) * max(1, dim_h0)
+        budget += (count[d] + dim_h0) * max(1, dim_h0)
         if budget > PRESENTATION_WORK_BUDGET:
             raise WorkBoundError(
                 "presentation work budget exceeded at weight %d: spent %d of"
                 " PRESENTATION_WORK_BUDGET = %d"
                 % (2 * d, budget, PRESENTATION_WORK_BUDGET)
             )
-        if dim_h0 == 0:
-            if monos:
-                raise AssertionError("products found in an empty graded piece")
-            logs.append(DegreeLog(2 * d, 0, 0, 0, 0, 0, (), ()))
-            continue
-        t_exps = [g.t_exp for g in gens]
-        s_exps = [g.s_exp for g in gens]
+        # one reduction per exponent pair; keep its dependency, or None if independent
+        pairs = _pairs(gens, firsts, d)
+        firsts.append(pairs)
         span = _Rref()
-        kernels = []  # (monomial index, integer dependency over monomial indices)
-        first = {}  # (t, s) exponent pair -> (first monomial, its dependency or None)
-        for idx, exps in enumerate(monos):
-            pair = sum(map(mul, exps, t_exps)), sum(map(mul, exps, s_exps))
-            if pair in first:
-                # the same vector again: e_idx - e_j, or j's dependency with j renamed idx
-                j, dep = first[pair]
-                dep = {idx if k == j else k: v for k, v in dep.items()} if dep else {j: -1, idx: 1}
-                kernels.append((idx, dep))
-                continue
+        for pair in pairs:
             m_exp, b_exp = pair[0] + a, pair[1] + b
             if m_exp < 0 or b_exp < 0 or m_exp + b_exp >= dim_h0:
                 raise AssertionError("product left its graded piece")
             vec = {m_exp + i: (-1) ** (b_exp - i) * comb(b_exp, i) for i in range(b_exp + 1)}
-            added, dep = span.try_add(vec, {idx: 1})
-            if not added:
-                dep = {k: v for k, v in dep.items() if v}
-                kernels.append((idx, dep))
-            first[pair] = idx, None if added else dep
+            added, dep = span.try_add(vec, {pair: 1})
+            pairs[pair] = None if added else {k: v for k, v in dep.items() if v}
         span_rank = span.rank
+        kernel_count = count[d] - span_rank
         new_rels = []
-        # consequences of earlier relations lie in the kernel, of dimension len(kernels);
+        # consequences of earlier relations lie in the kernel, of dimension kernel_count;
         # one relation's shifts are independent (the polynomial ring is a domain), so
         # when the first relation has that many shifts they span the kernel unreduced
-        if kernels and not (
-            relation_rows
-            and len(_monomials(degrees, d - relation_rows[0][0])) == len(kernels)
-        ):
+        if kernel_count and not (relation_rows and count[d - relation_rows[0][0]] == kernel_count):
+            degrees, t_exps, s_exps = zip(*gens)
+            monos = _monomials(degrees, d)
             mono_index = {exps: i for i, exps in enumerate(monos)}
             pad = (0,) * len(gens)
             cons = _Rref()
@@ -387,9 +380,19 @@ def presentation(D, max_weight):
                 padded = [(exps + pad[len(exps):], c) for exps, c in combo]
                 for mu in _monomials(degrees, d - rel_degree):
                     cons.try_add({mono_index[tuple(map(add, exps, mu))]: c for exps, c in padded})
-            for idx, dep in kernels:
+            first = {}  # exponent pair -> index of its first monomial
+            for idx, exps in enumerate(monos):
                 # at the kernel's dimension cons spans it: the rest is absorbed
-                if cons.rank == len(kernels) or not cons.try_add(dep)[0]:
+                if cons.rank == kernel_count:
+                    break
+                pair = sum(map(mul, exps, t_exps)), sum(map(mul, exps, s_exps))
+                j, dep = first.setdefault(pair, idx), pairs[pair]
+                # the pair's dependency with its first monomial renamed idx, or e_idx - e_j
+                if dep is not None:
+                    dep = {idx if k == pair else first[k]: v for k, v in dep.items()}
+                elif j != idx:
+                    dep = {j: -1, idx: 1}
+                if dep is None or not cons.try_add(dep)[0]:
                     continue
                 keys = sorted(dep)
                 # the one place a Fraction is built: the kernel, normalised at idx
@@ -403,15 +406,12 @@ def presentation(D, max_weight):
                 break
             if span.try_add({m: 1})[0]:
                 new_gens.append(Generator(degree=d, t_exp=m - a, s_exp=-b))
-        if new_gens:
-            gens += new_gens
-            degrees += [d] * len(new_gens)
-            reach[d] = True
         if span.rank != dim_h0:
             raise AssertionError("section basis failed to fill the graded piece")
-        logs.append(DegreeLog(
-            2 * d, dim_h0, len(monos), span_rank, len(kernels),
-            len(kernels) - len(new_rels), tuple(new_gens), tuple(new_rels),
-        ))
+        logs.append(DegreeLog(2 * d, dim_h0, count[d], span_rank, kernel_count,
+                              kernel_count - len(new_rels), tuple(new_gens), tuple(new_rels)))
+        gens += new_gens
+        for gen in new_gens:
+            _add_generator(gen, count, firsts)
     relations = tuple(r for log in logs for r in log.new_relations)
     return RingPresentation(tuple(gens), relations, max_weight, tuple(logs))

@@ -45,10 +45,15 @@ def type_solutions(k, q):
     For odd k there are none (gcd(2, q-1) = 2 does not divide k); for even
     k exactly the pair {k/2, k/2 + (q-1)/2} mod (q-1).
     """
-    m = _units(q)
+    _units(q)
+    return _type_solutions(k, q)
+
+
+def _type_solutions(k, q):
+    """type_solutions for a q already checked."""
     if k % 2 != 0:
         return set()
-    half = k // 2
+    half, m = k // 2, q - 1
     return {half % m, (half + m // 2) % m}
 
 
@@ -79,6 +84,11 @@ def dim_gamma0T(k, l, q):
     """
     if not 0 <= l < _units(q):
         raise ValueError("type must be reduced mod q-1")
+    return _dim_gamma0T(k, l, q)
+
+
+def _dim_gamma0T(k, l, q):
+    """dim_gamma0T for a q already checked and l in [0, q-1)."""
     if k < 0:
         return 0
     if (k - 2 * l) % (q - 1) != 0 or k < 2 * l:

@@ -139,6 +139,22 @@ def test_dims_table_golden(capsys):
     assert all(line.endswith("yes") for line in lines[1:])
 
 
+@pytest.mark.parametrize("q", [3, 13, 169, 2187])
+def test_dims_checks_q_once_per_request(capsys, monkeypatch, q):
+    # cli.check_field is the one check: the rows read only the checked q
+    calls = []
+    factor = drinfeld.ffarith._factor_prime_power
+
+    def counted(n):
+        calls.append(n)
+        return factor(n)
+
+    monkeypatch.setattr(drinfeld.ffarith, "_factor_prime_power", counted)
+    monkeypatch.setattr(drinfeld.weights, "_factor_prime_power", counted)
+    assert run(capsys, "dims", "--q", str(q), "--k-max", "48")[0] == 0
+    assert calls == [q]
+
+
 def test_dims_rejects_other_presets_and_odd_bounds(capsys):
     code, _, err = run(
         capsys, "dims", "--q", "5", "--k-max", "8", "--preset", "GL2A_2"

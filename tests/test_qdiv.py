@@ -14,13 +14,16 @@ from drinfeld import (
     QPoint,
     WorkBoundError,
     assemble_invariants,
+    decompose_gamma2,
     dim_gamma0T,
     floor_div,
     h0,
     h0_weighted,
     log_canonical_divisor,
     presentation,
+    type_solutions,
 )
+from drinfeld import qdiv as qdiv_module
 from drinfeld.qdiv import (
     POINT_ORDER,
     PRESENTATION_WORK_BUDGET,
@@ -338,6 +341,23 @@ def _rank(rows):
     return rank
 
 
+def _hilbert_function(pres, d):
+    """The dimension in degree d (weight 2d) of the ring pres presents: the
+    monomials in its generators modulo all shifts of its relations."""
+    degrees = [g.degree for g in pres.generators]
+    monos = _exponents(degrees, d)
+    index = {exps: i for i, exps in enumerate(monos)}
+    shifts = []
+    for rel in pres.relations:
+        for mu in _exponents(degrees, d - rel.weight // 2):
+            row = [Fraction(0)] * len(monos)
+            for exps, coeff in rel.combo:
+                exps += (0,) * (len(degrees) - len(exps))
+                row[index[tuple(x + y for x, y in zip(exps, mu))]] += coeff
+            shifts.append(row)
+    return len(monos) - _rank(shifts)
+
+
 def test_presentations_of_random_divisors_have_the_riemann_roch_hilbert_function():
     # Oracle: relations vanish at sample points, and in every degree d the
     # monomials in the generators modulo all shifts of the relations have
@@ -364,20 +384,35 @@ def test_presentations_of_random_divisors_have_the_riemann_roch_hilbert_function
                     total += term
                 assert total == 0, (D, rel)
         with_relations += bool(pres.relations)
-        degrees = [g.degree for g in gens]
         for d in range(1, max_weight // 2 + 1):
-            monos = _exponents(degrees, d)
-            index = {exps: i for i, exps in enumerate(monos)}
-            shifts = []
-            for rel in pres.relations:
-                for mu in _exponents(degrees, d - rel.weight // 2):
-                    row = [Fraction(0)] * len(monos)
-                    for exps, coeff in rel.combo:
-                        exps += (0,) * (len(gens) - len(exps))
-                        row[index[tuple(x + y for x, y in zip(exps, mu))]] += coeff
-                    shifts.append(row)
-            assert len(monos) - _rank(shifts) == h0(d * D), (D, d)
+            assert _hilbert_function(pres, d) == h0(d * D), (D, d)
     assert with_relations >= draws // 2
+
+
+def _gekeler_dim(k, l, q):
+    """dim M_{k,l}(GL_2(A)) from Gekeler's M = C[g, h], g of weight q - 1 and
+    type 0, h of weight q + 1 and type 1: the pairs (i, j) >= 0 with
+    i(q-1) + j(q+1) = k and j = l (mod q-1)."""
+    return sum(
+        1
+        for j in range(k // (q + 1) + 1)
+        if (k - j * (q + 1)) % (q - 1) == 0 and (j - l) % (q - 1) == 0
+    )
+
+
+@pytest.mark.parametrize("q", [3, 5, 7, 9, 25])
+def test_full_group_ring_splits_into_gekelers_two_type_pieces(q):
+    # the decomposition theorem: weight k of M(Gamma_2) for Gamma = GL_2(A) is
+    # the sum of the type pieces M_{k,l}(Gamma) over the two l of type_solutions
+    D = log_canonical_divisor(assemble_invariants("GL2A_2", get_field(q)))
+    top = 4 * (q + 1)
+    pres = presentation(D, top)
+    for k in range(2, top + 1, 2):
+        types = type_solutions(k, q)
+        assert len(types) == 2
+        assert set(decompose_gamma2(k, k // 2, q)) == types
+        want = sum(_gekeler_dim(k, l, q) for l in types)
+        assert _hilbert_function(pres, k // 2) == want, k
 
 
 def test_presentation_of_a_free_ring_on_a_half_integer_divisor():
@@ -654,3 +689,21 @@ def test_refused_gamma0_walk_keeps_its_bookkeeping():
     for max_weight in (38, 44, 100):
         with pytest.raises(WorkBoundError, match="weight 38: spent 56079"):
             presentation(D, max_weight)
+
+
+def test_refused_gamma0_walk_lists_only_the_monomials_a_relation_reads(monkeypatch):
+    # counts come from the coin-change table and pairs from earlier degrees: the
+    # walk lists monomials only at weight 4, the degree of its one relation
+    listed = []
+    monomials = qdiv_module._monomials
+
+    def spy(degrees, total):
+        out = monomials(degrees, total)
+        listed.append((2 * total, len(out)))
+        return out
+
+    monkeypatch.setattr(qdiv_module, "_monomials", spy)
+    D = log_canonical_divisor(assemble_invariants("Gamma0T_2", get_field(3)))
+    with pytest.raises(WorkBoundError, match="weight 38: spent 56079"):
+        presentation(D, 44)
+    assert listed == [(4, 6)]

@@ -1,4 +1,5 @@
-"""Seeded property tests of the presentation engine's integer row reduction.
+"""Seeded property tests of the presentation engine's integer row reduction
+and of its per-degree monomial counts and exponent pairs.
 
 `_Rref` eliminates fraction-free over Z on sparse rows.  Random sparse rows
 with small integer and Fraction entries (some built as combinations of
@@ -7,17 +8,23 @@ and fill in) are cleared of denominators and inserted one by one as
 {column: entry} dicts; the result is checked against a plain dense Fraction
 elimination written out below, and the stored rows against the invariants
 the engine relies on.
+
+The walk counts each degree's monomials in a coin-change table and derives
+each degree's exponent pairs from earlier degrees (`_add_generator`,
+`_pairs`); random generator lists check both against a brute-force listing
+of all exponent tuples.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import product
 from math import gcd, lcm
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from drinfeld.qdiv import _Rref
+from drinfeld.qdiv import Generator, _add_generator, _monomials, _pairs, _Rref
 
 SEEDED = settings(derandomize=True, max_examples=200, deadline=None)
 
@@ -121,3 +128,51 @@ def test_untracked_rows_are_primitive_and_ranks_agree(rows):
         added, expr = span.try_add(vec)
         assert (added, expr) == (want_added, None)
     check_stored_rows(span, tracked=False)
+
+
+TOP = 9  # the highest degree walked
+
+
+@st.composite
+def generator_lists(draw):
+    """1 to 4 generators in degree order, as the walk chooses them.
+
+    Degrees run from 1 to 5, so low degrees and gaps often have no product;
+    a generator may repeat an earlier one's exponent pair, at its degree or
+    another.
+    """
+    degrees = sorted(draw(st.lists(st.integers(1, 5), min_size=1, max_size=4)))
+    pairs = []
+    for _ in degrees:
+        if pairs and draw(st.booleans()):
+            pairs.append(draw(st.sampled_from(pairs)))
+        else:
+            pairs.append((draw(st.integers(-3, 3)), draw(st.integers(-3, 3))))
+    return [Generator(d, t, s) for d, (t, s) in zip(degrees, pairs)]
+
+
+@SEEDED
+@given(generator_lists())
+def test_counts_and_pairs_match_a_brute_force_listing(gens):
+    count = [1] + [0] * TOP
+    firsts = [{(0, 0): None}]
+    for d in range(1, TOP + 1):
+        # as in presentation: pairs from the earlier generators, then this degree's own
+        firsts.append(_pairs([g for g in gens if g.degree < d], firsts, d))
+        for g in gens:
+            if g.degree == d:
+                _add_generator(g, count, firsts)
+    listing = {}
+    for exps in product(*(range(TOP // g.degree + 1) for g in gens)):
+        total = sum(e * g.degree for e, g in zip(exps, gens))
+        if total <= TOP:
+            listing.setdefault(total, []).append(exps)
+    degrees = [g.degree for g in gens]
+    for d in range(TOP + 1):
+        monos = sorted(listing.get(d, []), reverse=True)
+        assert _monomials(degrees, d) == monos
+        assert count[d] == len(monos)
+        # each pair's place is that of its first (lex-largest) monomial in the listing
+        pair_of = {e: (sum(x * g.t_exp for x, g in zip(e, gens)),
+                       sum(x * g.s_exp for x, g in zip(e, gens))) for e in monos}
+        assert list(firsts[d]) == list(dict.fromkeys(pair_of[e] for e in monos))
