@@ -25,20 +25,21 @@ there a later monomial of a pair has one dependency, found without a
 reduction: e_idx - e_first when the pair's first monomial was
 independent, and the first one's dependency, relabelled, when it was not.
 
-The row reduction is sparse and fraction-free: rows, their tracked
-expressions and the consequence rows of earlier relations are {column: int}
+The row reduction is sparse and fraction-free: rows are {column: int}
 dicts, reduced by cross-multiplication at their pivot columns only and kept
-divided by their content.  Consequences of earlier relations lie in the
-kernel, and the kernel vectors of a degree are independent (each has its
-own dependent monomial), so once the consequences reach the kernel's
-dimension every remaining kernel vector is absorbed without being reduced.
-The shifts of one relation are independent (the polynomial ring is a
-domain), so when the first relation alone has that many shifts nothing
-is reduced at all.  A Fraction is built in one place only, when a
-dependent monomial's integer dependency is divided by its own coefficient
-to give the reported relation; that relation is the unique dependency on
-the earlier independent monomials, so it does not depend on how the
-elimination scaled its rows.
+divided by their content.  A product's vector carries its exponent pair's
+bookkeeping as one more column past the graded piece, so a dependent pair's
+residual is its integer dependency on the earlier pairs.  Consequences of
+earlier relations lie in the kernel, and the kernel vectors of a degree are
+independent (each has its own dependent monomial), so once the
+consequences reach the kernel's dimension every remaining kernel vector is
+absorbed without being reduced.  The shifts of one relation are
+independent (the polynomial ring is a domain), so when the first relation
+alone has that many shifts nothing is reduced at all.  A Fraction is built
+in one place only, when a dependent monomial's integer dependency is
+divided by its own coefficient to give the reported relation; that
+relation is the unique dependency on the earlier independent monomials, so
+it does not depend on how the elimination scaled its rows.
 """
 
 from __future__ import annotations
@@ -148,9 +149,9 @@ def h0_weighted(preset, q, k, l):
     """Weight-k type-l section count on the Gamma_0(T) square-determinant curve.
 
     Uses the endpoint alpha = (2k - 2l - kq) / (k(q-1)) of the divisor
-    family and evaluates k*alpha + k + 1 exactly; the value is the
-    dimension 1 + (k-2l)/(q-1) whenever that is a positive integer, and the
-    space is 0 otherwise.
+    family and evaluates k*alpha + k + 1 in integers, as a numerator over
+    q - 1; the value is the dimension 1 + (k-2l)/(q-1) whenever that is a
+    positive integer, and the space is 0 otherwise.
     """
     if preset != "Gamma0T_2":
         raise ValueError("unknown preset %r" % (preset,))
@@ -163,8 +164,9 @@ def h0_weighted(preset, q, k, l):
 
 def _h0_gamma0T(q, k, l):
     """h0_weighted for a q already checked, even k > 0 and l in [0, q-1)."""
-    value = k * Fraction(2 * k - 2 * l - k * q, k * (q - 1)) + k + 1  # k*alpha + k + 1
-    return int(value) if value.denominator == 1 and value > 0 else 0
+    # k*alpha + k + 1 = ((2k - 2l - kq) + (k + 1)(q - 1)) / (q - 1)
+    num = 2 * k - 2 * l - k * q + (k + 1) * (q - 1)
+    return num // (q - 1) if num > 0 and num % (q - 1) == 0 else 0
 
 
 class Generator(namedtuple("Generator", "degree t_exp s_exp")):
@@ -222,37 +224,34 @@ class RingPresentation(
 
 
 class _Rref:
-    """Incremental fraction-free sparse row reduction over Z with optional expression tracking.
+    """Incremental fraction-free sparse row reduction over Z.
 
-    Vectors are {column: nonzero int} dicts.  A stored row sits in the map
-    pivot -> (row, expr): its pivot is its smallest column, it is zero at
-    every pivot stored before it, and, when tracked, expr is an integer dict
-    over the caller's keys whose combination of inserted vectors is the row.
-    A new vector v is reduced by repeatedly eliminating its smallest column
-    p that is a stored pivot, cross-multiplying with that pivot's row r,
-    v <- (r[p]/g)*v - (v[p]/g)*r with g = gcd(v[p], r[p]); its expression
-    gets the same update, so every value stays an integer.  Rows only carry
-    columns at or after their pivot, so each step leaves v zero at p and
-    unchanged before it.  Before it is stored, a row and its expression are
-    divided by their common content; an untracked row is thus primitive.
+    Vectors are {column: nonzero int} dicts.  Columns below width are the
+    vector proper; columns at or above it are bookkeeping, which a caller
+    uses to learn how a dependent vector combines the inserted ones.  A
+    stored row sits in the map pivot -> row: its pivot is its smallest
+    column, below width, and it is zero at every pivot stored before it.  A
+    new vector v is reduced by repeatedly eliminating its smallest column p
+    that is a stored pivot, cross-multiplying with that pivot's row r,
+    v <- (r[p]/g)*v - (v[p]/g)*r with g = gcd(v[p], r[p]), so every value
+    stays an integer.  Rows only carry columns at or after their pivot, so
+    each step leaves v zero at p and unchanged before it.  Before it is
+    stored, a row is divided by its content, so it is primitive.
     """
 
-    def __init__(self):
-        self.rows = {}  # pivot -> (integer row dict, integer expr dict or None)
+    def __init__(self, width):
+        self.width = width
+        self.rows = {}  # pivot -> integer row dict
 
     @property
     def rank(self):
         return len(self.rows)
 
-    def try_add(self, vec, expr=None):
-        """Insert the integer vector if independent.  Returns (added, residual expression).
-
-        For a dependent vector the residual expression is an integer
-        dependency among the inserted vectors.
-        """
+    def try_add(self, vec):
+        """Store the reduced vector and return None if a column below width survives;
+        else store nothing and return the residual, of bookkeeping columns only."""
         rows = self.rows
         vec = dict(vec)
-        expr = dict(expr) if expr is not None else None
         todo = [k for k in vec if k in rows]
         heapify(todo)
         while todo:
@@ -260,7 +259,7 @@ class _Rref:
             f = vec.get(piv)
             if f is None:
                 continue  # a duplicate entry, or a column that cancelled
-            rvec, rexpr = rows[piv]
+            rvec = rows[piv]
             r = rvec[piv]
             g = gcd(f, r)
             a, b = r // g, f // g
@@ -276,20 +275,12 @@ class _Rref:
                     del vec[k]
                 else:
                     vec[k] = x - b * y
-            if expr is not None and rexpr is not None:
-                if a != 1:
-                    expr = {k: a * v for k, v in expr.items()}
-                for k, v in rexpr.items():
-                    expr[k] = expr.get(k, 0) - b * v
-        if not vec:
-            return False, expr
-        c = gcd(*vec.values(), *expr.values()) if expr is not None else gcd(*vec.values())
-        if c != 1:
-            vec = {k: x // c for k, x in vec.items()}
-            if expr is not None:
-                expr = {k: v // c for k, v in expr.items()}
-        rows[min(vec)] = (vec, expr)
-        return True, expr
+        piv = min(vec, default=self.width)
+        if piv >= self.width:
+            return vec
+        c = gcd(*vec.values())
+        rows[piv] = {k: x // c for k, x in vec.items()} if c != 1 else vec
+        return None
 
 
 def _monomials(degrees, total):
@@ -353,17 +344,18 @@ def presentation(D, max_weight):
                 " PRESENTATION_WORK_BUDGET = %d"
                 % (2 * d, budget, PRESENTATION_WORK_BUDGET)
             )
-        # one reduction per exponent pair; keep its dependency, or None if independent
+        # one reduction per exponent pair, with its own column past the graded piece;
+        # keep the column and the residual (the pair's dependency), or None if independent
         pairs = _pairs(gens, firsts, d)
         firsts.append(pairs)
-        span = _Rref()
-        for pair in pairs:
+        span = _Rref(dim_h0)
+        for col, pair in enumerate(pairs, dim_h0):
             m_exp, b_exp = pair[0] + a, pair[1] + b
             if m_exp < 0 or b_exp < 0 or m_exp + b_exp >= dim_h0:
                 raise AssertionError("product left its graded piece")
             vec = {m_exp + i: (-1) ** (b_exp - i) * comb(b_exp, i) for i in range(b_exp + 1)}
-            added, dep = span.try_add(vec, {pair: 1})
-            pairs[pair] = None if added else {k: v for k, v in dep.items() if v}
+            vec[col] = 1
+            pairs[pair] = col, span.try_add(vec)
         span_rank = span.rank
         kernel_count = count[d] - span_rank
         new_rels = []
@@ -375,24 +367,25 @@ def presentation(D, max_weight):
             monos = _monomials(degrees, d)
             mono_index = {exps: i for i, exps in enumerate(monos)}
             pad = (0,) * len(gens)
-            cons = _Rref()
+            cons = _Rref(len(monos))
             for rel_degree, combo in relation_rows:
                 padded = [(exps + pad[len(exps):], c) for exps, c in combo]
                 for mu in _monomials(degrees, d - rel_degree):
                     cons.try_add({mono_index[tuple(map(add, exps, mu))]: c for exps, c in padded})
-            first = {}  # exponent pair -> index of its first monomial
+            first = {}  # pair's column -> index of its first monomial
             for idx, exps in enumerate(monos):
                 # at the kernel's dimension cons spans it: the rest is absorbed
                 if cons.rank == kernel_count:
                     break
                 pair = sum(map(mul, exps, t_exps)), sum(map(mul, exps, s_exps))
-                j, dep = first.setdefault(pair, idx), pairs[pair]
-                # the pair's dependency with its first monomial renamed idx, or e_idx - e_j
+                col, dep = pairs[pair]
+                j = first.setdefault(col, idx)
+                # the pair's dependency with its own column renamed idx, or e_idx - e_j
                 if dep is not None:
-                    dep = {idx if k == pair else first[k]: v for k, v in dep.items()}
+                    dep = {idx if k == col else first[k]: v for k, v in dep.items()}
                 elif j != idx:
                     dep = {j: -1, idx: 1}
-                if dep is None or not cons.try_add(dep)[0]:
+                if dep is None or cons.try_add(dep) is not None:
                     continue
                 keys = sorted(dep)
                 # the one place a Fraction is built: the kernel, normalised at idx
@@ -404,7 +397,7 @@ def presentation(D, max_weight):
         for m in range(dim_h0):
             if span.rank == dim_h0:
                 break
-            if span.try_add({m: 1})[0]:
+            if span.try_add({m: 1}) is None:
                 new_gens.append(Generator(degree=d, t_exp=m - a, s_exp=-b))
         if span.rank != dim_h0:
             raise AssertionError("section basis failed to fill the graded piece")

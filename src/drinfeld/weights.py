@@ -4,13 +4,13 @@ A form has an integer weight k >= 0 and a type l, a residue mod (q-1);
 nonzero spaces satisfy k = 2l (mod q-1).  This module solves that
 congruence, lifts the types of a square-determinant subgroup's forms to
 the two type pieces of the full group, evaluates the dimension formula for
-Gamma_0(T), and checks the valence formula in exact rational arithmetic.
+Gamma_0(T), and checks the valence formula as an integer identity, cleared
+of its denominators q + 1, q - 1 and q^2 - 1.
 """
 
 from __future__ import annotations
 
 from collections import namedtuple
-from fractions import Fraction
 
 from .ffarith import _factor_prime_power
 
@@ -99,8 +99,8 @@ def _dim_gamma0T(k, l, q):
 def valence_check(prof, q):
     """Exact test of the valence formula.
 
-    sum(other orders) + v_e/(q+1) + v_inf/(q-1) = k/(q^2-1).
+    sum(other orders) + v_e/(q+1) + v_inf/(q-1) = k/(q^2-1), times q^2 - 1:
+    sum(other orders)*(q^2-1) + v_e*(q-1) + v_inf*(q+1) = k.
     """
     m = _units(q)
-    lhs = Fraction(sum(prof.v_other)) + Fraction(prof.v_e, q + 1) + Fraction(prof.v_inf, m)
-    return lhs == Fraction(prof.k, q * q - 1)
+    return sum(prof.v_other) * (q * q - 1) + prof.v_e * m + prof.v_inf * (q + 1) == prof.k

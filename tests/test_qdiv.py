@@ -208,6 +208,32 @@ def test_weighted_h0_refuses_q_as_the_weight_functions_do(q):
     assert "prime power" in str(raised.value)
 
 
+def weighted_h0_by_fractions(q, k, l):
+    """k*alpha + k + 1 at alpha = (2k - 2l - kq) / (k(q-1)), if a positive integer, else 0."""
+    value = k * Fraction(2 * k - 2 * l - k * q, k * (q - 1)) + k + 1
+    return int(value) if value.denominator == 1 and value > 0 else 0
+
+
+@pytest.mark.parametrize("q", [3, 5, 7, 9, 25, 27])
+def test_weighted_h0_matches_the_fraction_endpoint_at_every_type(q):
+    for k in range(2, 201, 2):
+        for l in range(q - 1):
+            assert h0_weighted("Gamma0T_2", q, k, l) == weighted_h0_by_fractions(q, k, l), (k, l)
+
+
+@pytest.mark.parametrize("q", [2187, 59049])
+def test_weighted_h0_matches_the_fraction_endpoint_at_seeded_types(q):
+    rng = random.Random(SEED + q)
+    nonzero = 0
+    for k in range(2, 201, 2):
+        # the two types of k, where the space can be nonzero, and seeded others
+        for l in sorted(type_solutions(k, q)) + rng.sample(range(q - 1), 4):
+            value = h0_weighted("Gamma0T_2", q, k, l)
+            assert value == weighted_h0_by_fractions(q, k, l), (k, l)
+            nonzero += value > 0
+    assert nonzero == 100
+
+
 @pytest.mark.parametrize("q", [3, 5, 7])
 def test_weighted_h0_agrees_with_dimension_formula_and_divisor(q):
     inv = assemble_invariants("Gamma0T_2", get_field(q))

@@ -5,9 +5,10 @@ and of its per-degree monomial counts and exponent pairs.
 with small integer and Fraction entries (some built as combinations of
 earlier rows, so that dependencies occur and reductions take several steps
 and fill in) are cleared of denominators and inserted one by one as
-{column: entry} dicts; the result is checked against a plain dense Fraction
-elimination written out below, and the stored rows against the invariants
-the engine relies on.
+{column: entry} dicts, with or without a bookkeeping column past the row
+width that names the row; the result is checked against a plain dense
+Fraction elimination written out below, and the stored rows against the
+invariants the engine relies on.
 
 The walk counts each degree's monomials in a coin-change table and derives
 each degree's exponent pairs from earlier degrees (`_add_generator`,
@@ -80,54 +81,59 @@ def cleared(row):
     return {j: int(x * scale) for j, x in enumerate(row) if x}, scale
 
 
-def check_stored_rows(span, tracked):
-    """Each row: nonzero entries, pivot its smallest column, zero at every
-    earlier pivot, and primitive (jointly with its expression when tracked)."""
+def check_stored_rows(span):
+    """Each row: nonzero entries, pivot its smallest column and below the
+    width, zero at every earlier pivot, and primitive."""
     pivots = list(span.rows)
-    for n, (piv, (vec, expr)) in enumerate(span.rows.items()):
-        assert all(vec.values())
-        assert piv == min(vec)
-        assert not any(p in vec for p in pivots[:n])
-        if tracked:
-            assert gcd(*vec.values(), *expr.values()) == 1
-        else:
-            assert expr is None
-            assert gcd(*vec.values()) == 1
+    for n, (piv, row) in enumerate(span.rows.items()):
+        assert all(row.values())
+        assert piv == min(row) < span.width
+        assert not any(p in row for p in pivots[:n])
+        assert gcd(*row.values()) == 1
 
 
 @SEEDED
 @given(row_lists())
 def test_tracked_reduction_matches_the_fraction_reference(rows):
     ints, scales = zip(*map(cleared, rows))
-    span = _Rref()
+    width = len(rows[0])
+    span = _Rref(width)
     want = reference(rows)
     for i, (vec, (want_added, want_kernel)) in enumerate(zip(ints, want)):
-        added, dep = span.try_add(vec, {i: 1})
-        assert added == want_added
-        if added:
+        rank = span.rank
+        residual = span.try_add({**vec, width + i: 1})  # row i's bookkeeping column
+        assert (residual is None) == want_added
+        if residual is None:
+            assert span.rank == rank + 1
             continue
-        assert all(isinstance(v, int) for v in dep.values())
-        # dep is a dependency among the integer rows; map it to the original rows
-        kernel = {k: Fraction(v * scales[k], dep[i] * scales[i]) for k, v in dep.items() if v}
-        assert kernel[i] == 1
+        assert span.rank == rank  # a residual is never stored
+        assert residual and min(residual) >= width
+        assert all(isinstance(v, int) and v for v in residual.values())
+        # the residual is a dependency among the integer rows; map it to the original rows
+        dep = {k - width: v for k, v in residual.items()}
+        kernel = {k: Fraction(v * scales[k], dep[i] * scales[i]) for k, v in dep.items()}
         assert kernel == want_kernel
-        for j in range(len(rows[0])):
+        for j in range(width):
             assert sum(c * rows[k][j] for k, c in kernel.items()) == 0
     assert span.rank == sum(added for added, _ in want)
-    check_stored_rows(span, tracked=True)
-    for vec, expr in span.rows.values():
-        for j in range(len(rows[0])):
-            assert sum(c * ints[k].get(j, 0) for k, c in expr.items()) == vec.get(j, 0)
+    check_stored_rows(span)
+    for row in span.rows.values():
+        # the bookkeeping columns combine the inserted rows into the stored row
+        for j in range(width):
+            combined = sum(c * ints[k - width].get(j, 0) for k, c in row.items() if k >= width)
+            assert combined == row.get(j, 0)
 
 
 @SEEDED
 @given(row_lists())
 def test_untracked_rows_are_primitive_and_ranks_agree(rows):
-    span = _Rref()
-    for vec, (want_added, _) in zip((cleared(r)[0] for r in rows), reference(rows)):
-        added, expr = span.try_add(vec)
-        assert (added, expr) == (want_added, None)
-    check_stored_rows(span, tracked=False)
+    span = _Rref(len(rows[0]))
+    want = reference(rows)
+    for vec, (want_added, _) in zip((cleared(r)[0] for r in rows), want):
+        residual = span.try_add(vec)
+        assert residual == (None if want_added else {})
+    assert span.rank == sum(added for added, _ in want)
+    check_stored_rows(span)
 
 
 TOP = 9  # the highest degree walked

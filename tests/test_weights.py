@@ -2,7 +2,11 @@
 
 from __future__ import annotations
 
+from fractions import Fraction
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from drinfeld import (
     VanishingProfile,
@@ -103,6 +107,22 @@ def test_valence_uses_exact_rationals():
     assert valence_check(VanishingProfile(k=24, v_other=(1,)), 5) is True
     assert valence_check(VanishingProfile(k=28, v_other=(1,), v_e=1), 5) is True
     assert valence_check(VanishingProfile(k=28, v_other=(1,), v_inf=1), 5) is False
+
+
+@settings(derandomize=True, max_examples=400, deadline=None)
+@given(
+    st.sampled_from([3, 5, 7, 9, 13, 25, 27, 2187]),
+    st.integers(0, 60),
+    st.integers(0, 60),
+    st.lists(st.integers(0, 4), max_size=3),
+    st.integers(-2, 2),
+)
+def test_valence_matches_the_fraction_identity(q, v_inf, v_e, v_other, shift):
+    # sum(other orders) + v_e/(q+1) + v_inf/(q-1) = k/(q^2-1); k on the identity when shift is 0
+    lhs = Fraction(sum(v_other)) + Fraction(v_e, q + 1) + Fraction(v_inf, q - 1)
+    k = max(0, int(lhs * (q * q - 1)) + shift)
+    prof = VanishingProfile(k=k, v_inf=v_inf, v_e=v_e, v_other=v_other)
+    assert valence_check(prof, q) is (lhs == Fraction(k, q * q - 1))
 
 
 @pytest.mark.parametrize(
