@@ -68,7 +68,6 @@ from .qdiv import (
     QPoint,
     Relation,
     RingPresentation,
-    floor_div,
     h0,
     h0_weighted,
     log_canonical_divisor,
@@ -125,7 +124,6 @@ __all__ = [
     "det_image_order",
     "dim_gamma0T",
     "elliptic_search",
-    "floor_div",
     "format_poly",
     "gamma2_of",
     "h0",

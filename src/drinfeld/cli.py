@@ -177,7 +177,7 @@ def _square_text(w):
 
 def cmd_parity(args):
     field = Fq(args.q, modulus=_modulus(args))
-    G = parse_group(args.group, field, args.level)
+    G = parse_group(args.group, field)
     p = parity(G, args.deg_bound, field)
     result = {
         "group": str(G),
@@ -199,8 +199,6 @@ def _parity_table(r):
 
 
 def cmd_dims(args):
-    if args.preset != "Gamma0T_2":
-        raise ValueError("dimension table is available for preset Gamma0T_2 only")
     if args.k_max % 2 != 0 or args.k_max < 2:
         raise ValueError("--k-max must be a positive even integer")
     if args.k_max > DIMS_K_MAX:
@@ -218,7 +216,7 @@ def cmd_dims(args):
             rows.append(
                 {"k": k, "l": l, "dim": dim, "h0": cross, "agree": dim == cross}
             )
-    result = {"preset": args.preset, "k_max": args.k_max, "rows": rows}
+    result = {"preset": "Gamma0T_2", "k_max": args.k_max, "rows": rows}
     return _emit(args, result, _dims_table)
 
 
@@ -314,7 +312,7 @@ def _split_table(r):
 
 def cmd_cusps(args):
     field = Fq(args.q, modulus=_modulus(args))
-    G = parse_group(args.group, field, args.level)
+    G = parse_group(args.group, field)
     cs = cusps(G, field)
     result = {
         "group": str(G),
@@ -359,7 +357,7 @@ def _valence_table(r):
 
 def cmd_ellsearch(args):
     field = Fq(args.q, modulus=_modulus(args))
-    G = parse_group(args.group, field, args.level)
+    G = parse_group(args.group, field)
     ws = elliptic_search(G, args.deg_bound, field)
     texts = {}
     result = {
@@ -397,7 +395,6 @@ def _add_group(sp):
         help="group descriptor: full, gammaN:<poly>, gamma1:<poly>, "
         "gamma0:<poly>, with optional !sq/!one/!idx<m> suffix",
     )
-    sp.add_argument("--level", help="level polynomial when not embedded in --group")
 
 
 @functools.cache
@@ -417,7 +414,6 @@ def build_parser():
 
     sp = sub.add_parser("dims", help="dimension table with section cross-check")
     _add_common(sp)
-    sp.add_argument("--preset", choices=PRESETS, default="Gamma0T_2")
     sp.add_argument(
         "--k-max", type=_int_arg, required=True, help="even, at most %d" % DIMS_K_MAX
     )

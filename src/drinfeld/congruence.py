@@ -209,13 +209,12 @@ def _excerpt(text, limit=16):
     return repr(text) if len(text) <= limit else repr(text[:limit]) + "..."
 
 
-def parse_group(text, field, level_text=None):
+def parse_group(text, field):
     """Parse a group descriptor.
 
     Grammar: `full`, `gamma0:<poly>`, `gamma1:<poly>`, `gammaN:<poly>`,
-    optionally followed by `!sq`, `!one`, or `!idx<m>`.  A separate level
-    string may be supplied instead of the embedded `:<poly>` form; giving
-    both is an error.
+    optionally followed by `!sq`, `!one`, or `!idx<m>`.  The level is the
+    polynomial after the colon; without a colon there is none.
     """
     src = text.strip()
     det_index = DET_ALL
@@ -230,16 +229,8 @@ def parse_group(text, field, level_text=None):
             det_index = parse_int(suffix[3:], len(src) + 4, message)
         else:
             raise ParseError("unknown determinant suffix %s" % _excerpt(suffix), len(src))
-    if ":" in src:
-        if level_text is not None:
-            raise ParseError(
-                "the level is given twice: in the group and separately", src.index(":")
-            )
-        fam, _, poly_text = src.partition(":")
-        level = parse_poly(poly_text, field)
-    else:
-        fam = src
-        level = parse_poly(level_text, field) if level_text is not None else None
+    fam, colon, poly_text = src.partition(":")
+    level = parse_poly(poly_text, field) if colon else None
     try:
         spec = GroupSpec(fam, level, det_index)
     except ValueError as exc:

@@ -316,12 +316,13 @@ def _witness_blocks(G, deg_bound, field):
         b of degree <= deg_bound and every c of the box, to the list of
         rows [constant term of b*c, b, c, -b/c once a witness has needed
         it, rank of b, rank of c].
-    The polynomials b and d are numbered once in sort-key order, and the
-    c of the box likewise; a row carries the ranks of its b and c and the
-    walk pairs each d with its rank, so a block is sorted on the integer
-    triple (rank b, rank c, rank d), which orders it as the entries'
-    sort keys do.  The allowed determinants are kept as one FqElem per
-    code, which every witness of that determinant shares.
+    The polynomials b and d, the c of the box and the a of the box are
+    each listed once in sort-key order, and a rank is a position in such a
+    list; a row carries the ranks of its b and c and the walk reads the
+    rank of d as its position, so a block is sorted on the integer triple
+    (rank b, rank c, rank d), which orders it as the entries' sort keys
+    do.  The allowed determinants are kept as one FqElem per code, which
+    every witness of that determinant shares.
     As ad - bc = delta is a constant, ad and bc agree in degree >= 1: the
     candidates for a given (a, d) are one lookup on the degree >= 1 part of
     ad, and delta = (ad)_0 - (bc)_0, which is then the determinant of the
@@ -349,32 +350,22 @@ def _witness_blocks(G, deg_bound, field):
     for t in range(field.q):
         discs = ((x, sub(mul(t, t), mul(four, x))) for x in dets)
         rows[(t,) if t else ()] = {x for x, y in discs if y and log[y] % 2}
-    polys = _polys_up_to(field, deg_bound)
+    polys = sorted(_polys_up_to(field, deg_bound), key=PolyA.sort_key)
     N = G.level
     if G.family == "full":
         a_vals, c_vals = polys, polys[1:]
     else:
-        c_vals = [c * N for c in polys[1:]]
+        c_vals = sorted((c * N for c in polys[1:]), key=PolyA.sort_key)
         if G.family == "gamma1":
-            a_vals = [a * N + 1 for a in polys]
+            a_vals = sorted((a * N + 1 for a in polys), key=PolyA.sort_key)
         else:
-            a_vals = _polys_up_to(field, deg_bound + 1)
-    b_ranks, c_ranks = _ranks(polys), _ranks(c_vals)
+            a_vals = sorted(_polys_up_to(field, deg_bound + 1), key=PolyA.sort_key)
     products = {}
-    for c, rc in zip(c_vals, c_ranks):
-        for b, rb in zip(polys, b_ranks):
+    for rc, c in enumerate(c_vals):
+        for rb, b in enumerate(polys):
             bc = (b * c).coeffs or (0,)
             products.setdefault(bc[1:], []).append([bc[0], b, c, None, rb, rc])
-    d_vals = list(zip(polys, b_ranks))
-    a_vals = sorted(a_vals, key=PolyA.sort_key)
-    return (_a_block(a, d_vals, dets, rows, products) for a in a_vals)
-
-
-def _ranks(polys):
-    """The place of each of the distinct polys in sort-key order."""
-    keys = [f.sort_key() for f in polys]
-    place = {k: rank for rank, k in enumerate(sorted(keys))}
-    return [place[k] for k in keys]
+    return (_a_block(a, polys, dets, rows, products) for a in a_vals)
 
 
 def _a_block(a, d_vals, dets, rows, products):
@@ -385,13 +376,14 @@ def _a_block(a, d_vals, dets, rows, products):
     of ad, and one is a witness when its determinant code
     delta = (ad)_0 - (bc)_0 is allowed for the trace.  The box is
     unit-determinant by construction, so gamma takes delta unchecked, and
-    det is the shared FqElem `dets[delta]`.  `d_vals` pairs each d with
-    its rank; the block is sorted on the ranks of (b, c, d).
+    det is the shared FqElem `dets[delta]`.  `d_vals` lists the d in
+    sort-key order, so a d's rank is its position; the block is sorted on
+    the ranks of (b, c, d).
     """
     field = a.field
     sub, log = field.sub, field.log
     block = []
-    for d, rd in d_vals:
+    for rd, d in enumerate(d_vals):
         allowed = rows.get((a + d).coeffs, dets)
         if not allowed:
             continue

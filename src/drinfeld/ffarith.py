@@ -177,17 +177,13 @@ class Fq:
             y = [sum(map(operator.mul, y, col)) % p for col in cols]
 
     def elem(self, value):
-        """Coerce an int, coordinate list, or FqElem into this field."""
+        """Coerce an int, read mod p, or an FqElem of this field into this
+        field; anything else raises TypeError."""
         if isinstance(value, FqElem):
             if value.field is not self:
                 raise ValueError("element belongs to a different field")
             return value
-        if isinstance(value, int):
-            return FqElem(self, value % self.p)
-        coords = [c % self.p for c in value]
-        if len(coords) != self.e:
-            raise ValueError("expected %d coordinates" % self.e)
-        return FqElem(self, sum(c * self.p**i for i, c in enumerate(coords)))
+        return FqElem(self, operator.index(value) % self.p)
 
     def format_elem(self, x):
         return self.format_code(x.code)

@@ -91,9 +91,6 @@ class QDivisor:
     def items(self):
         return tuple((pt, self._coeffs[pt]) for pt in self.support())
 
-    def degree(self):
-        return sum(self._coeffs.values(), Fraction(0))
-
     def __mul__(self, scalar):
         if not isinstance(scalar, (int, Fraction)):
             return NotImplemented
@@ -108,17 +105,10 @@ class QDivisor:
         return " + ".join("%s%s" % (v, names[pt]) for pt, v in self.items())
 
 
-def floor_div(D):
-    """Componentwise floor; idempotent."""
-    return QDivisor({pt: Fraction(v.numerator // v.denominator) for pt, v in D.items()})
-
-
 def h0(D):
-    """Genus-0 Riemann-Roch: deg(floor D) + 1, clipped at 0."""
-    deg = floor_div(D).degree()
-    assert deg.denominator == 1
-    deg = int(deg)
-    return deg + 1 if deg >= 0 else 0
+    """Genus-0 Riemann-Roch: deg(floor D) + 1, clipped at 0, where the
+    degree of floor D is the sum of the integer floors of D's coefficients."""
+    return max(0, sum(v.numerator // v.denominator for _, v in D.items()) + 1)
 
 
 def log_canonical_divisor(inv):

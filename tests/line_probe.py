@@ -1,14 +1,19 @@
-"""List the statements of `src/drinfeld/` that no golden request executes.
+"""List the statements of `src/drinfeld/` that neither the golden requests
+nor the acceptance suite executes.
 
 Every request recorded in `perfbench/golden/*.json` is replayed through
-`drinfeld.cli.main` under `sys.settrace`, its output discarded, and the
-lines executed in the library's files are collected.  The statements are
-those of the `ast` inside function bodies: module and class bodies, which
-run at import, and function docstrings are left out.  A simple statement
-counts as executed when any of its lines is, a compound one when a line
-of its header is.  The first lines of the statements never executed are
-printed, one line per module.  The golden files are only read.  Run by
-hand from the repository root:
+`drinfeld.cli.main`, its output discarded, and `tests/test_acceptance.py`
+is run in process through `pytest.main`, its report discarded; both run
+under one `sys.settrace`, which collects the lines executed in the
+library's files.  The probe reports lines, not test results: the trace
+slows the acceptance suite, so a runtime limit there may fail without
+changing what was executed.  The statements are those of the `ast` inside
+function bodies: module and class bodies, which run at import, and
+function docstrings are left out.  A simple statement counts as executed
+when any of its lines is, a compound one when a line of its header is.
+The first lines of the statements never executed are printed, one line
+per module.  The golden files and the tests are only read.  Run by hand
+from the repository root:
 
     PYTHONPATH=src python tests/line_probe.py
 """
@@ -18,17 +23,19 @@ from __future__ import annotations
 import ast
 import contextlib
 import glob
-import io
 import json
 import os
 import shlex
 import sys
+
+import pytest
 
 import drinfeld
 from drinfeld.cli import main
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 PACKAGE = os.path.dirname(os.path.abspath(drinfeld.__file__))
+ACCEPTANCE = os.path.join(ROOT, "tests", "test_acceptance.py")
 
 
 def _spans(path):
@@ -65,8 +72,8 @@ def _is_docstring(parent, stmt):
     )
 
 
-def _replay():
-    """{file: executed lines} over every golden request."""
+def _collect():
+    """{file: executed lines} over every golden request and the acceptance suite."""
     executed = {}
 
     def trace(frame, event, arg):
@@ -82,22 +89,23 @@ def _replay():
 
         return local
 
-    for golden in sorted(glob.glob(os.path.join(ROOT, "perfbench", "golden", "*.json"))):
-        with open(golden) as fh:
-            requests = json.load(fh)["requests"]
-        for key in requests:
-            sink = io.StringIO()
-            with contextlib.redirect_stdout(sink), contextlib.redirect_stderr(sink):
-                sys.settrace(trace)
-                try:
+    with open(os.devnull, "w") as sink, contextlib.redirect_stdout(sink), \
+            contextlib.redirect_stderr(sink):
+        sys.settrace(trace)
+        try:
+            for golden in sorted(glob.glob(os.path.join(ROOT, "perfbench", "golden", "*.json"))):
+                with open(golden) as fh:
+                    requests = json.load(fh)["requests"]
+                for key in requests:
                     main(shlex.split(key))
-                finally:
-                    sys.settrace(None)
+            pytest.main(["-q", "-p", "no:cacheprovider", ACCEPTANCE])
+        finally:
+            sys.settrace(None)
     return executed
 
 
 def main_probe():
-    executed = _replay()
+    executed = _collect()
     for path in sorted(glob.glob(os.path.join(PACKAGE, "*.py"))):
         lines = executed.get(path, set())
         missed = [first for first, span in _spans(path) if lines.isdisjoint(span)]

@@ -166,7 +166,6 @@ def test_parse_group_descriptors():
     assert parse_group("gamma0:T!sq", F7).det_index == 2
     assert parse_group("gamma0:T!one", F7).det_index == 6
     assert parse_group("gamma0:T!idx3", F7).det_index == 3
-    assert parse_group("gamma0", F7, "T").level == PolyA.T(F7)
     assert str(parse_group("gamma1:4*T+3!sq", F7)) == "gamma1:4*T+3!sq"
 
 

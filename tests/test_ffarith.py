@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import itertools
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -28,6 +29,19 @@ from conftest import SEED, get_field, poly_sqrt
 
 
 # --- finite fields ---------------------------------------------------------
+
+
+def test_elem_takes_an_int_mod_p_or_an_element_of_the_field():
+    F = get_field(9)
+    assert F.elem(10) == F.elem(1) == FqElem(F, 1)
+    x = FqElem(F, 5)
+    assert F.elem(x) is x
+    with pytest.raises(ValueError):
+        F.elem(FqElem(get_field(3), 1))
+    # a coordinate list, a float or a Fraction is no element code
+    for bad in ([2, 1], 2.0, Fraction(1, 2)):
+        with pytest.raises(TypeError):
+            F.elem(bad)
 
 
 @pytest.mark.parametrize("q", [3, 5, 7, 9])

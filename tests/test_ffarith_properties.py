@@ -37,7 +37,7 @@ by_field = pytest.mark.parametrize("F", FIELDS, ids=FIELD_IDS)
 
 
 def elements(F):
-    return st.integers(0, F.q - 1).map(lambda c: F.elem(F.coords[c]))
+    return st.integers(0, F.q - 1).map(lambda c: FqElem(F, c))
 
 
 def polys(F, max_len=6):

@@ -5,7 +5,7 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 from heapq import heapify, heappop, heappush
-from math import comb, gcd, lcm
+from math import comb, floor, gcd, lcm
 
 import pytest
 
@@ -16,7 +16,6 @@ from drinfeld import (
     assemble_invariants,
     decompose_gamma2,
     dim_gamma0T,
-    floor_div,
     h0,
     h0_weighted,
     log_canonical_divisor,
@@ -53,10 +52,7 @@ def test_divisor_accessors():
     D = qdiv(z=Fraction(3, 2), i=-2)
     assert D.items() == ((Z, Fraction(3, 2)), (I, Fraction(-2)))
     assert D.coeff(Z) == Fraction(3, 2) and D.coeff(O) == 0
-    assert D.degree() == Fraction(-1, 2)
     assert D.support() == (Z, I)
-    assert floor_div(D).items() != D.items()
-    assert floor_div(qdiv(z=2, o=-1)).items() == qdiv(z=2, o=-1).items()
 
 
 def test_divisor_scalar_multiplication_on_both_sides():
@@ -84,13 +80,6 @@ def test_divisor_repr_is_ordered_and_exact():
     assert repr(qdiv(o=Fraction(1, 2))) == "1/2(1)"
 
 
-def test_floor_is_componentwise_and_idempotent():
-    D = qdiv(z=Fraction(3, 2), o=Fraction(-1, 2), i=Fraction(1, 2))
-    F = floor_div(D)
-    assert F.items() == qdiv(z=1, o=-1).items()  # floor(1/2) = 0 leaves the support
-    assert floor_div(F).items() == F.items()
-
-
 # ------------------------------------------- h0 and the section labels
 
 
@@ -99,6 +88,25 @@ def test_h0_known_values():
     assert h0(qdiv(i=2)) == 3
     assert h0(qdiv(z=-1)) == 0
     assert h0(qdiv(z=Fraction(1, 2), o=Fraction(1, 2))) == 1
+
+
+def test_h0_is_the_floor_degree_plus_one_clipped_at_zero():
+    # Oracle: the floor of each Fraction coefficient, summed in the test
+    def expected(D):
+        return max(0, sum(floor(D.coeff(pt)) for pt in (Z, O, I)) + 1)
+
+    # floors 1, -1 and 0: floor(1/2) = 0 adds nothing although 1/2 is in the support
+    fixed = qdiv(z=Fraction(3, 2), o=Fraction(-1, 2), i=Fraction(1, 2))
+    assert h0(fixed) == expected(fixed) == 1
+    divisors = [QDivisor(), fixed]
+    rng = random.Random(SEED + 3)
+    for _ in range(500):
+        points = [pt for pt in (Z, O, I) if rng.random() < 0.5]
+        divisors.append(
+            QDivisor({pt: Fraction(rng.randint(-40, 40), rng.randint(1, 12)) for pt in points})
+        )
+    for D in divisors:
+        assert h0(D) == expected(D), D
 
 
 def test_generator_labels_are_the_section_basis_at_weight_two():
@@ -394,7 +402,7 @@ def test_presentations_of_random_divisors_have_the_riemann_roch_hilbert_function
         D = QDivisor(
             {pt: Fraction(rng.randint(-6, 6), rng.randint(1, 4)) for pt in (Z, O, I)}
         )
-        if not 0 < D.degree() <= 2:
+        if not 0 < sum(D.coeff(pt) for pt in (Z, O, I)) <= 2:
             continue
         draws += 1
         pres = presentation(D, max_weight)
