@@ -99,12 +99,9 @@ class GroupSpec(namedtuple("GroupSpec", "family level det_index")):
                 raise ValueError("level must be nonconstant and nonzero")
         return super().__new__(cls, family, level, det_index)
 
-    def field_for(self, field=None):
-        if self.level is not None:
-            return self.level.field
-        if field is None:
-            raise ValueError("full group needs an explicit field")
-        return field
+    def field_for(self, field):
+        """The field of the level, or `field` for the full group."""
+        return field if self.level is None else self.level.field
 
     def validate_det_index(self, field):
         q = field.q
@@ -204,9 +201,9 @@ def quotient_order(outer, inner, field):
     return n_outer // n_inner
 
 
-def _excerpt(text, limit=16):
-    """text quoted for a message, cut to its first `limit` characters."""
-    return repr(text) if len(text) <= limit else repr(text[:limit]) + "..."
+def _excerpt(text):
+    """text quoted for a message, cut to its first 16 characters."""
+    return repr(text) if len(text) <= 16 else repr(text[:16]) + "..."
 
 
 def parse_group(text, field):

@@ -222,8 +222,8 @@ def _mod_n_generators(G, res):
     return [tuple(map(tables.__getitem__, gen)) for gen in gens]
 
 
-def cusps(G, field=None):
-    """Cusp orbits: primitive vectors mod the group image and scalars.
+def cusps(G, field):
+    """Cusp orbits over G.field_for(field): primitive vectors mod image and scalars.
 
     The full group uses the internal level T (any level gives one orbit
     since the action is transitive).  Levels of degree > 2 exceed the
@@ -279,8 +279,8 @@ def _polys_up_to(field, deg_bound):
     return [_poly(field, list(c)) for c in itertools.product(codes, repeat=deg_bound + 1)]
 
 
-def elliptic_search(G, deg_bound, field=None):
-    """Exhaustive witness search over the family's parameter box.
+def elliptic_search(G, deg_bound, field):
+    """Exhaustive witness search in the family's box over G.field_for(field).
 
     Box shapes (parameters range over all polynomials of degree <=
     deg_bound): full (a, b; c, d); gamma1 (aN+1, b; cN, d); gamma0
@@ -411,8 +411,8 @@ def _a_block(a, d_vals, dets, rows, products):
     return [w for _, _, _, w in block]
 
 
-def parity(G, deg_bound, field=None):
-    """Square / non-square classification from the witness determinants.
+def parity(G, deg_bound, field):
+    """Square / non-square classification over G.field_for(field), by witness determinants.
 
     The a-blocks of `elliptic_search` are read up to the first non-empty
     one: its first non-square-determinant witness gives NonSquare, and

@@ -53,7 +53,8 @@ class WorkBoundError(RuntimeError):
 
 
 def _factor_prime_power(q):
-    if q < 3:
+    """(p, e) with q = p^e, for q an odd prime power at most Q_MAX."""
+    if q < 3 or q % 2 == 0:
         raise ValueError("q must be an odd prime power >= 3")
     if q > Q_MAX:
         raise ValueError("q = %d exceeds the supported maximum %d" % (q, Q_MAX))
@@ -65,28 +66,7 @@ def _factor_prime_power(q):
     e = round(math.log(q, p))  # the nearest exponent: p**e == q is tested next
     if p**e != q:
         raise ValueError("q = %d is not a prime power" % q)
-    if p == 2:
-        raise ValueError("characteristic 2 is not supported")
     return p, e
-
-
-def check_field(q, modulus=None):
-    """Validate the arguments of `Fq` without building its tables.
-
-    Returns (p, e, modulus) with the modulus reduced mod p; it stays None
-    when not given, and a modulus for prime q is refused.
-    """
-    p, e = _factor_prime_power(q)
-    if modulus is None:
-        return p, e, None
-    if e == 1:
-        raise ValueError("modulus only applies to non-prime q")
-    modulus = tuple(c % p for c in modulus)
-    if len(modulus) != e + 1 or modulus[-1] != 1:
-        raise ValueError("modulus must be monic of degree e")
-    if not _fp_irreducible(modulus, p):
-        raise ValueError("modulus is reducible over F_%d" % p)
-    return p, e, modulus
 
 
 class Fq:
@@ -98,14 +78,26 @@ class Fq:
     generator is the element of order q-1 with the least code; nonzero
     elements print as powers of it.  `add`, `sub`, `neg`, `mul` and `inv`
     act on codes through the exp/log and Zech tables.
+
+    Before any table is built, ValueError refuses a q that is not an odd
+    prime power at most Q_MAX, then a modulus for prime q, one not monic of
+    degree e once reduced mod p, and a reducible one.
     """
 
     def __init__(self, q, modulus=None):
-        p, e, modulus = check_field(q, modulus)
+        p, e = _factor_prime_power(q)
         self.q = q
         self.p = p
         self.e = e
-        if e > 1 and modulus is None:
+        if modulus is not None:
+            if e == 1:
+                raise ValueError("modulus only applies to non-prime q")
+            modulus = tuple(c % p for c in modulus)
+            if len(modulus) != e + 1 or modulus[-1] != 1:
+                raise ValueError("modulus must be monic of degree e")
+            if not _fp_irreducible(modulus, p):
+                raise ValueError("modulus is reducible over F_%d" % p)
+        elif e > 1:
             modulus = self._default_modulus()
         self.modulus = modulus
         # coords[x]: the coordinate tuple of code x, lowest digit first.
@@ -720,7 +712,7 @@ def parse_int(text, pos, message="expected an integer"):
     return int(body)
 
 
-def _tokenize(src, alphabet=_POLY_TOKENS):
+def _tokenize(src, alphabet):
     """(kind, value, position) triples ending in "end"; whitespace separates tokens."""
     tokens = []
     i = 0

@@ -20,13 +20,11 @@ USERIES_EXP_MAX = 4096
 
 
 class SupportError(ValueError):
-    """A coefficient sits at an exponent outside the allowed classes."""
+    """A coefficient sits at `exponent`, outside the allowed classes."""
 
-    def __init__(self, exponent, message=None):
+    def __init__(self, exponent):
         self.exponent = exponent
-        if message is None:
-            message = "unsupported exponent %d" % exponent
-        super().__init__(message)
+        super().__init__("unsupported exponent %d" % exponent)
 
 
 class USeries:
@@ -195,17 +193,16 @@ def _coefficient(reader):
     return inner
 
 
-def parse_useries(text, field, weight=0, type_residue=None, prec=None):
+def parse_useries(text, field, weight=0):
     """Parse terms u^n, c*u^n and c joined by + or -, with an optional leading sign.
 
     A coefficient c is a product of polynomial factors ("3", "a^2*T") or a
     polynomial in parentheses ("(T+1)"); a * must stand between c and u.
     Whitespace separates tokens, as in `parse_poly`.  Examples: "u^2+3*u^4",
     "(T+1)*u - 2", "0".  An exponent above USERIES_EXP_MAX is rejected
-    before any coefficient list is built.
+    before any coefficient list is built.  The series has weight `weight`,
+    no type, and the default window of `USeries.from_terms`.
     """
     reader = _TextReader(text, field, _POLY_TOKENS + "u()")
     terms = reader.whole(lambda r: r.sum(_series_term), "series")
-    return USeries.from_terms(
-        field, terms, weight=weight, type_residue=type_residue, prec=prec
-    )
+    return USeries.from_terms(field, terms, weight=weight)

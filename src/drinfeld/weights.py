@@ -32,9 +32,7 @@ class VanishingProfile(namedtuple("VanishingProfile", "k v_inf v_e v_other")):
 
 
 def _units(q):
-    """q - 1, the order of F_q^*, for q an odd prime power."""
-    if q < 3 or q % 2 == 0:
-        raise ValueError("q must be an odd prime power")
+    """q - 1, the order of F_q^*, once `_factor_prime_power` accepts q."""
     _factor_prime_power(q)
     return q - 1
 
@@ -89,8 +87,6 @@ def dim_gamma0T(k, l, q):
 
 def _dim_gamma0T(k, l, q):
     """dim_gamma0T for a q already checked and l in [0, q-1)."""
-    if k < 0:
-        return 0
     if (k - 2 * l) % (q - 1) != 0 or k < 2 * l:
         return 0
     return 1 + (k - 2 * l) // (q - 1)

@@ -96,16 +96,30 @@ def test_negative_degree_bound_exits_2(capsys, command, bound):
         ("cusps", "--q", "5", "--group", "full", "--level", ""),
         ("dims", "--q", "5", "--k-max", "8", "--preset", "Gamma0T_2"),
         ("dims", "--q", "5", "--k-max", "8", "--preset", "GL2A_2"),
+    ]
+    + [
+        (command, "--q", "9", "--modulus", modulus, *rest)
+        for command, *rest in (
+            ("dims", "--k-max", "4"),
+            ("valence", "--k", "4"),
+            ("sectionring", "--preset", "Gamma0T_2", "--max-weight", "4"),
+        )
+        for modulus in ("1,0,1", "")
+    ]
+    + [
+        ("valence", "--q", "9", "--modulus", "1,1,1", "--k", "4"),
+        ("valence", "--q", "5", "--modulus", "1,0,1", "--k", "4"),
     ],
 )
 def test_level_and_dims_preset_are_no_options(capsys, monkeypatch, argv):
-    # a group names its level after the colon, and dims has one table: the
-    # parser refuses either option before any field is checked or built
+    # a group names its level after the colon, dims has one table, and the
+    # output of dims, valence and sectionring depends on q alone: the parser
+    # refuses each of these options before q is checked or a field is built
     def no_field(*args, **kwargs):
         raise AssertionError("field work for a refused option")
 
     monkeypatch.setattr("drinfeld.cli.Fq", no_field)
-    monkeypatch.setattr("drinfeld.cli.check_field", no_field)
+    monkeypatch.setattr("drinfeld.cli._units", no_field)
     assert run(capsys, *argv)[:2] == (2, "")
 
 
@@ -136,7 +150,7 @@ def test_dims_table_golden(capsys):
 
 @pytest.mark.parametrize("q", [3, 13, 169, 2187])
 def test_dims_checks_q_once_per_request(capsys, monkeypatch, q):
-    # cli.check_field is the one check: the rows read only the checked q
+    # cli._units is the one check: the rows read only the checked q
     calls = []
     factor = drinfeld.ffarith._factor_prime_power
 
@@ -497,6 +511,65 @@ def test_field_size_is_bounded_before_any_work(capsys):
     assert "65536" in err
 
 
+def _library_refusal(call, q):
+    """The message of the ValueError that call(q) raises, or None."""
+    try:
+        call(q)
+    except ValueError as e:
+        return str(e)
+    return None
+
+
+_Q_ENTRIES = [
+    lambda q: drinfeld.type_solutions(4, q),
+    lambda q: drinfeld.decompose_gamma2(4, 2, q),
+    lambda q: drinfeld.dim_gamma0T(4, 0, q),
+    lambda q: drinfeld.valence_check(drinfeld.VanishingProfile(2), q),
+    lambda q: drinfeld.h0_weighted("Gamma0T_2", q, 4, 0),
+]
+_Q_REQUESTS = [
+    ("dims", "--k-max", "2"),
+    ("valence", "--k", "2"),
+    # the box bound refuses the search with exit 3 once the field is built
+    ("parity", "--group", "full", "--deg-bound", "99"),
+]
+
+
+@pytest.mark.parametrize("q", [*range(-2, 201), 59049, 65535, 65537, 65538, 2**16])
+def test_every_entry_refuses_a_q_with_the_same_message_or_accepts_it(capsys, q):
+    # q has one refusal, `_factor_prime_power`, so its text does not depend
+    # on the entry: the field, each weight function and the CLI agree
+    refusals = [_library_refusal(call, q) for call in _Q_ENTRIES]
+    if q <= 200:
+        refusals.append(_library_refusal(drinfeld.Fq, q))
+    for command, *rest in _Q_REQUESTS:
+        code, out, err = run(capsys, command, "--q=%d" % q, *rest)
+        if code == 2:
+            assert out == "" and err.startswith("error: ") and err.endswith("\n")
+            refusals.append(err[len("error: "):-1])
+        else:
+            refusals.append(None)
+    assert len(set(refusals)) == 1, refusals
+    if refusals[0] is not None:
+        assert "prime power" in refusals[0] or "exceeds the supported maximum" in refusals[0]
+
+
+@pytest.mark.parametrize("command", ["parity", "cusps", "ellsearch", "split"])
+@pytest.mark.parametrize(
+    "q, modulus, message",
+    [
+        ("9", "1,1,1", "modulus is reducible over F_3"),
+        ("9", "1,0,0,1", "modulus must be monic of degree e"),
+        ("9", "1,0,2", "modulus must be monic of degree e"),
+        ("5", "1,0,1", "modulus only applies to non-prime q"),
+    ],
+)
+def test_the_field_commands_refuse_a_bad_modulus(capsys, command, q, modulus, message):
+    rest = ("--k", "4", "u^2") if command == "split" else ("--group", "full")
+    code, out, err = run(capsys, command, "--q", q, "--modulus", modulus, *rest)
+    assert (code, out, err) == (2, "", "error: %s\n" % message)
+
+
 def test_q_only_commands_check_q_without_building_the_field(capsys, monkeypatch):
     def no_field(*args, **kwargs):
         raise AssertionError("field built for a command that reads only q")
@@ -506,17 +579,15 @@ def test_q_only_commands_check_q_without_building_the_field(capsys, monkeypatch)
     assert run(capsys, "valence", "--q", "2187", "--k", "4")[0] == 0
     code, out, err = run(capsys, "dims", "--q", "15", "--k-max", "4")
     assert (code, out, err) == (2, "", "error: q = 15 is not a prime power\n")
-    code, out, err = run(capsys, "valence", "--q", "9", "--modulus", "1,1,1", "--k", "4")
-    assert (code, out, err) == (2, "", "error: modulus is reducible over F_3\n")
-    assert run(capsys, "valence", "--q", "5", "--modulus", "1,0,1", "--k", "4")[0] == 2
 
 
 @pytest.mark.parametrize(
     "argv",
     [
         ("cusps", "--q", "9", "--modulus", "", "--group", "full"),
-        ("valence", "--q", "5", "--modulus", "", "--k", "4"),
-        ("dims", "--q", "5", "--modulus", "", "--k-max", "4"),
+        ("parity", "--q", "9", "--modulus", "", "--group", "full"),
+        ("ellsearch", "--q", "9", "--modulus", "", "--group", "full"),
+        ("split", "--q", "9", "--modulus", "", "--k", "4", "u^2"),
     ],
     ids=lambda argv: argv[0],
 )

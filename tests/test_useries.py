@@ -92,7 +92,7 @@ def test_addition_truncates_to_the_shared_precision(F5):
 
 
 def test_scaling_multiplies_coefficient_n_by_inverse_alpha_to_n(F5):
-    f = parse_useries("1+u+u^2+u^3", F5, prec=8)
+    f = parse_useries("1+u+u^2+u^3", F5)
     g = scale_u(f, 2)
     inv = F5.elem(2).inverse()
     power = F5.elem(1)
@@ -106,8 +106,8 @@ def test_scaling_multiplies_coefficient_n_by_inverse_alpha_to_n(F5):
 
 
 def test_scaling_composes_and_commutes_with_addition(F5):
-    f = parse_useries("1+2*u+u^3", F5, prec=10)
-    g = parse_useries("3+u^2", F5, prec=10)
+    f = parse_useries("1+2*u+u^3", F5)
+    g = parse_useries("3+u^2", F5)
     two_then_three = scale_u(scale_u(f, 2), 3)
     assert two_then_three == scale_u(f, F5.elem(2) * F5.elem(3))
     assert scale_u(f + g, 4) == scale_u(f, 4) + scale_u(g, 4)
@@ -190,7 +190,7 @@ def test_parse_known_series(F5):
     assert parse_useries("u", F5).support() == (1,)
     assert parse_useries("-u^3+u^3", F5).support() == ()
     assert parse_useries("0", F5).support() == ()
-    assert parse_useries("u^9", F5, prec=None).prec == 64
+    assert parse_useries("u^9", F5).prec == 64
     assert parse_useries("u^80", F5).prec == 81
 
 
