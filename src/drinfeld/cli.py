@@ -13,36 +13,22 @@ rendered from the same dict.  Integer options are read by
 `ffarith.parse_int`, so an over-long literal is refused by its length and
 never echoed.
 
-`main` builds the argument parser on its first call and reuses it for every
-later call in the process; importing the module builds nothing.  The
-subcommand functions look up the library names at call time.
+`main` reads argv with one option table, `COMMANDS`, as argparse would;
+importing the module builds nothing.  The subcommand functions look up the
+library names at call time.
 """
 
 from __future__ import annotations
 
-import argparse
-import functools
 import json
 import os
+import re
 import sys
+import types
 
 from .congruence import parse_group
-from .curveinv import (
-    PRESETS,
-    assemble_invariants,
-    cusps,
-    elliptic_search,
-    parity,
-)
-from .ffarith import (
-    Q_MAX,
-    Fq,
-    ParseError,
-    RatK,
-    WorkBoundError,
-    format_poly,
-    parse_int,
-)
+from .curveinv import PRESETS, assemble_invariants, cusps, elliptic_search, parity
+from .ffarith import Q_MAX, Fq, ParseError, RatK, WorkBoundError, format_poly, parse_int
 from .qdiv import _h0_gamma0T, log_canonical_divisor, presentation
 from .useries import SupportError, parse_useries, split
 from .weights import VanishingProfile, _dim_gamma0T, _type_solutions, _units, valence_check
@@ -61,14 +47,6 @@ def _int_list(text, what):
         out.append(parse_int(item, pos, message))
         pos += len(item) + 1
     return tuple(out)
-
-
-def _int_arg(text):
-    """An int option value, read by `parse_int`; argparse names the option."""
-    try:
-        return parse_int(text, 0, "invalid int value")
-    except ParseError as e:
-        raise argparse.ArgumentTypeError(str(e)) from None
 
 
 def _modulus(args):
@@ -201,10 +179,8 @@ def cmd_dims(args):
     if args.k_max % 2 != 0 or args.k_max < 2:
         raise ValueError("--k-max must be a positive even integer")
     if args.k_max > DIMS_K_MAX:
-        raise ValueError(
-            "--k-max %d exceeds the supported maximum DIMS_K_MAX = %d"
-            % (args.k_max, DIMS_K_MAX)
-        )
+        raise ValueError("--k-max %d exceeds the supported maximum DIMS_K_MAX = %d"
+                         % (args.k_max, DIMS_K_MAX))
     q = args.q
     _units(q)  # the one check of q: the rows skip it, and no field is built
     rows = []
@@ -212,9 +188,7 @@ def cmd_dims(args):
         for l in sorted(_type_solutions(k, q)):
             dim = _dim_gamma0T(k, l, q)
             cross = _h0_gamma0T(q, k, l)
-            rows.append(
-                {"k": k, "l": l, "dim": dim, "h0": cross, "agree": dim == cross}
-            )
+            rows.append({"k": k, "l": l, "dim": dim, "h0": cross, "agree": dim == cross})
     result = {"preset": "Gamma0T_2", "k_max": args.k_max, "rows": rows}
     return _emit(args, result, _dims_table)
 
@@ -222,19 +196,16 @@ def cmd_dims(args):
 def _dims_table(r):
     yield "k  l  dim  h0  agree"
     for row in r["rows"]:
-        yield "%-2d %-2d %-4d %-3d %s" % (
-            row["k"], row["l"], row["dim"], row["h0"], "yes" if row["agree"] else "NO"
-        )
+        agree = "yes" if row["agree"] else "NO"
+        yield "%-2d %-2d %-4d %-3d %s" % (row["k"], row["l"], row["dim"], row["h0"], agree)
 
 
 def cmd_sectionring(args):
     if args.max_weight % 2 != 0 or args.max_weight < 2:
         raise ValueError("--max-weight must be a positive even integer")
     if args.max_weight > SECTIONRING_WEIGHT_MAX:
-        raise ValueError(
-            "--max-weight %d exceeds the supported maximum SECTIONRING_WEIGHT_MAX = %d"
-            % (args.max_weight, SECTIONRING_WEIGHT_MAX)
-        )
+        raise ValueError("--max-weight %d exceeds the supported maximum "
+                         "SECTIONRING_WEIGHT_MAX = %d" % (args.max_weight, SECTIONRING_WEIGHT_MAX))
     field = Fq(args.q)
     inv = assemble_invariants(args.preset, field)
     D = log_canonical_divisor(inv)
@@ -243,17 +214,10 @@ def cmd_sectionring(args):
         "preset": args.preset,
         "max_weight": args.max_weight,
         "divisor": repr(D),
-        "generators": [
-            {"weight": g.weight, "section": g.label()} for g in pres.generators
-        ],
+        "generators": [{"weight": g.weight, "section": g.label()} for g in pres.generators],
         "relations": [
-            {
-                "weight": r.weight,
-                "monomial_combination": [
-                    {"exponents": list(exps), "coeff": str(coeff)}
-                    for exps, coeff in r.combo
-                ],
-            }
+            {"weight": r.weight, "monomial_combination": [
+                {"exponents": list(exps), "coeff": str(coeff)} for exps, coeff in r.combo]}
             for r in pres.relations
         ],
     }
@@ -263,14 +227,9 @@ def cmd_sectionring(args):
 def _combo_text(combo):
     parts = []
     for term in combo:
-        factors = []
-        for i, e in enumerate(term["exponents"]):
-            if e == 1:
-                factors.append("x%d" % i)
-            elif e > 1:
-                factors.append("x%d^%d" % (i, e))
-        mono = "*".join(factors) if factors else "1"
-        parts.append("(%s)*%s" % (term["coeff"], mono))
+        exps = enumerate(term["exponents"])
+        mono = "*".join("x%d" % i if e == 1 else "x%d^%d" % (i, e) for i, e in exps if e > 0)
+        parts.append("(%s)*%s" % (term["coeff"], mono or "1"))
     return " + ".join(parts)
 
 
@@ -279,19 +238,15 @@ def _sectionring_table(r):
     for i, g in enumerate(r["generators"]):
         yield "generator x%d: weight %d, section %s" % (i, g["weight"], g["section"])
     for rel in r["relations"]:
-        yield "relation (weight %d): %s = 0" % (
-            rel["weight"], _combo_text(rel["monomial_combination"])
-        )
+        combo = _combo_text(rel["monomial_combination"])
+        yield "relation (weight %d): %s = 0" % (rel["weight"], combo)
     if not r["relations"]:
         yield "relations: none"
 
 
 def _series_payload(f):
-    return {
-        "type": f.type_residue,
-        "series": repr(f),
-        "terms": [{"n": n, "coeff": repr(f.coeff(n))} for n in f.support()],
-    }
+    terms = [{"n": n, "coeff": repr(f.coeff(n))} for n in f.support()]
+    return {"type": f.type_residue, "series": repr(f), "terms": terms}
 
 
 def cmd_split(args):
@@ -316,10 +271,8 @@ def cmd_cusps(args):
     result = {
         "group": str(G),
         "count": cs.count,
-        "reps": [
-            {"u": format_poly(u), "v": format_poly(v), "orbit_size": size}
-            for (u, v), size in zip(cs.reps, cs.sizes)
-        ],
+        "reps": [{"u": format_poly(u), "v": format_poly(v), "orbit_size": size}
+                 for (u, v), size in zip(cs.reps, cs.sizes)],
         "total_primitive_vectors": cs.total,
     }
     return _emit(args, result, _cusps_table)
@@ -333,12 +286,8 @@ def _cusps_table(r):
 
 
 def cmd_valence(args):
-    others = ()
-    if args.v_other:
-        others = _int_list(args.v_other, "v_other")
-    prof = VanishingProfile(
-        k=args.k, v_inf=args.v_inf, v_e=args.v_e, v_other=others
-    )
+    others = _int_list(args.v_other, "v_other") if args.v_other else ()
+    prof = VanishingProfile(k=args.k, v_inf=args.v_inf, v_e=args.v_e, v_other=others)
     result = {
         "k": args.k,
         "v_inf": args.v_inf,
@@ -371,101 +320,163 @@ def _ellsearch_table(r):
     yield "count: %d" % r["count"]
     for w in r["witnesses"]:
         yield "%s  det %s (%s)  quad z^2 + (%s)*z + (%s)" % (
-            _matrix_text(w), w["det"], _square_text(w), w["quad_b"], w["quad_c"]
-        )
+            _matrix_text(w), w["det"], _square_text(w), w["quad_b"], w["quad_c"])
 
 
-def _add_common(sp):
-    sp.add_argument(
-        "--q", type=_int_arg, required=True, help="odd prime power, at most %d" % Q_MAX
-    )
-    sp.add_argument("--format", choices=("table", "json"), default="table")
+# The option table: each command's handler, one-line help and options in
+# order.  An option maps its name to (converter, default, help): parse_int, a
+# tuple of choices or str; _REQUIRED marks a required option, and a name
+# without a dash a positional argument.  In _TOP, the first positional
+# argument names the command, and all that follows it is the command's own.
+_REQUIRED = object()
+_COMMON = {
+    "--q": (parse_int, _REQUIRED, "odd prime power, at most %d" % Q_MAX),
+    "--format": (("table", "json"), "table", "output format"),
+}
+_FIELD = {"--modulus": (str, None, "field modulus as F_p coefficients, lowest first")}
+_GROUP = {**_COMMON, **_FIELD, "--group": (str, _REQUIRED, "full, gammaN:<poly>, gamma1:<poly> "
+                                           "or gamma0:<poly>, with optional !sq/!one/!idx<m>")}
+_SEARCH = {**_GROUP, "--deg-bound": (parse_int, 0, "degree bound of the searched entries")}
+COMMANDS = {
+    "parity": (cmd_parity, "square/non-square classification", _SEARCH),
+    "dims": (cmd_dims, "dimension table with section cross-check", {
+        **_COMMON, "--k-max": (parse_int, _REQUIRED, "even, at most %d" % DIMS_K_MAX)}),
+    "sectionring": (cmd_sectionring, "generators and relations", {
+        **_COMMON, "--preset": (PRESETS, _REQUIRED, "the curve"),
+        "--max-weight": (parse_int, _REQUIRED, "even, at most %d" % SECTIONRING_WEIGHT_MAX)}),
+    "split": (cmd_split, "sort a series into its two type classes", {
+        **_COMMON, **_FIELD, "--k": (parse_int, _REQUIRED, "even weight"),
+        "series": (str, _REQUIRED, "sum of c*u^n terms, e.g. 'u^2+3*u^4'")}),
+    "cusps": (cmd_cusps, "cusp representatives and orbit sizes", _GROUP),
+    "valence": (cmd_valence, "check a vanishing profile", {
+        **_COMMON, "--k": (parse_int, _REQUIRED, "weight"),
+        "--v-inf": (parse_int, 0, "order at infinity"),
+        "--v-e": (parse_int, 0, "order at the elliptic points"),
+        "--v-other": (str, None, "comma-separated orders at other points")}),
+    "ellsearch": (cmd_ellsearch, "elliptic witness search", _SEARCH),
+}
+_TOP = (None, "Invariants of Drinfeld modular curves and their form rings.",
+        {"command": (tuple(COMMANDS), _REQUIRED, "")})
+_HELP = ("-h", "--help")
+_NEGATIVE = re.compile(r"^-\d+$|^-\d*\.\d+$")  # a number: a value, not an option
 
 
-def _add_field(sp):
-    sp.add_argument(
-        "--modulus",
-        help="field modulus as comma-separated F_p coefficients, lowest first",
-    )
+def _spelling(name, convert, default=_REQUIRED):
+    """An option as the usage writes it; brackets mark an optional one."""
+    meta = "{%s}" % ",".join(convert) if convert.__class__ is tuple else name[2:].upper()
+    text = "%s %s" % (name, meta.replace("-", "_")) if name[0] == "-" else name
+    return text if default is _REQUIRED else "[%s]" % text
 
 
-def _add_group(sp):
-    _add_field(sp)
-    sp.add_argument(
-        "--group",
-        required=True,
-        help="group descriptor: full, gammaN:<poly>, gamma1:<poly>, "
-        "gamma0:<poly>, with optional !sq/!one/!idx<m> suffix",
-    )
+def _usage(command):
+    if command is None:
+        return "usage: drinfeld [-h] {%s} ..." % ",".join(COMMANDS)
+    words = [_spelling(n, c, d) for n, (c, d, _) in COMMANDS[command][2].items()]
+    return " ".join(["usage: drinfeld %s [-h]" % command] + words)
 
 
-@functools.cache
-def build_parser():
-    """The parser of `main`, built once per process on first use."""
-    parser = argparse.ArgumentParser(
-        prog="drinfeld",
-        description="Invariants of Drinfeld modular curves and their form rings.",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
+def _refuse(command, message):
+    """Print the usage and argparse's message to stderr, and exit 2."""
+    prog = "drinfeld %s" % command if command else "drinfeld"
+    print("%s\n%s: error: %s" % (_usage(command), prog, message), file=sys.stderr)
+    raise SystemExit(2)
 
-    sp = sub.add_parser("parity", help="square/non-square classification")
-    _add_common(sp)
-    _add_group(sp)
-    sp.add_argument("--deg-bound", type=_int_arg, default=0)
-    sp.set_defaults(func=cmd_parity)
 
-    sp = sub.add_parser("dims", help="dimension table with section cross-check")
-    _add_common(sp)
-    sp.add_argument(
-        "--k-max", type=_int_arg, required=True, help="even, at most %d" % DIMS_K_MAX
-    )
-    sp.set_defaults(func=cmd_dims)
+def _help(command, name, value):
+    """Print the help of command (None: of drinfeld) and exit 0.  As in
+    argparse, a value given to the option is refused unless it is all h's."""
+    if value is not None and (name != "-h" or not value or value.lstrip("h")):
+        rest = value.lstrip("h") if name == "-h" else value
+        _refuse(command, "argument -h/--help: ignored explicit argument %r" % rest)
+    rows = [(c, entry[1]) for c, entry in COMMANDS.items()] if command is None else [
+        (_spelling(n, c), t + {_REQUIRED: " (required)", None: ""}.get(d, " (default: %s)" % d))
+        for n, (c, d, t) in COMMANDS[command][2].items()]
+    head = (COMMANDS[command] if command else _TOP)[1]
+    print(_usage(command), "", head, "", *("  %-24s %s" % row for row in rows), sep="\n")
+    raise SystemExit(0)
 
-    sp = sub.add_parser("sectionring", help="generators and relations")
-    _add_common(sp)
-    sp.add_argument("--preset", choices=PRESETS, required=True)
-    sp.add_argument(
-        "--max-weight",
-        type=_int_arg,
-        required=True,
-        help="even, at most %d" % SECTIONRING_WEIGHT_MAX,
-    )
-    sp.set_defaults(func=cmd_sectionring)
 
-    sp = sub.add_parser("split", help="sort a series into its two type classes")
-    _add_common(sp)
-    _add_field(sp)
-    sp.add_argument("--k", type=_int_arg, required=True, help="even weight")
-    sp.add_argument("series", help="sum of c*u^n terms, e.g. 'u^2+3*u^4'")
-    sp.set_defaults(func=cmd_split)
+def _token(tok, options, command):
+    """How argparse reads tok: None for a value, else (name, the text given
+    after = or -h, or None), with name None for an unknown option."""
+    if tok[:1] != "-" or tok == "-":
+        return None
+    name, eq, value = tok.partition("=")
+    if name in options or name in _HELP:
+        return name, (value if eq else None)
+    if tok[1] == "-":  # a prefix of long names
+        hits = [(n, value if eq else None) for n in (*_HELP, *options) if n.startswith(name)]
+        if len(hits) > 1:
+            _refuse(command, "ambiguous option: %s could match %s" % (tok, ", ".join(dict(hits))))
+        if hits:
+            return hits[0]
+    elif tok[1] == "h":
+        return "-h", tok[2:]
+    return None if _NEGATIVE.match(tok) or " " in tok else (None, None)
 
-    sp = sub.add_parser("cusps", help="cusp representatives and orbit sizes")
-    _add_common(sp)
-    _add_group(sp)
-    sp.set_defaults(func=cmd_cusps)
 
-    sp = sub.add_parser("valence", help="check a vanishing profile")
-    _add_common(sp)
-    sp.add_argument("--k", type=_int_arg, required=True)
-    sp.add_argument("--v-inf", type=_int_arg, default=0)
-    sp.add_argument("--v-e", type=_int_arg, default=0)
-    sp.add_argument("--v-other", help="comma-separated orders at other points")
-    sp.set_defaults(func=cmd_valence)
-
-    sp = sub.add_parser("ellsearch", help="elliptic witness search")
-    _add_common(sp)
-    _add_group(sp)
-    sp.add_argument("--deg-bound", type=_int_arg, default=0)
-    sp.set_defaults(func=cmd_ellsearch)
-
-    return parser
+def _read(argv, command=None):
+    """The namespace that `main` dispatches on and the arguments left over, read as
+    argparse reads argv (command None: argv names the command).  Help exits 0 and
+    a usage error exits 2, by SystemExit."""
+    handler, _, options = COMMANDS[command] if command else _TOP
+    n = argv.index("--") if "--" in argv else len(argv)
+    # None for a value, "--" for the end of the options and past argv, else _token's pair
+    marks = [_token(tok, options, command) for tok in argv[:n]]
+    marks += ["--"] + [None] * (len(argv) - n - 1) + ["--"]
+    positional = next((name for name in options if name[0] != "-"), None)
+    given, extras, i = {}, [], 0
+    while i < len(argv):
+        mark = marks[i]
+        if mark.__class__ is tuple and mark[0] in options:
+            name, value = mark
+            if value is None:
+                if marks[i + 1] is not None:
+                    _refuse(command, "argument %s: expected one argument" % name)
+                i += 1
+                value = argv[i]
+        elif mark.__class__ is tuple and mark[0]:
+            _help(command, *mark)
+        elif positional and marks[i + (mark == "--")] is None:  # a value, or -- and a value
+            i += bool(command) and mark == "--"  # a command's value takes a -- on either side
+            name, positional, value = positional, None, argv[i]
+            i += bool(command) and marks[i + 1] == "--"
+        else:
+            extras.append(argv[i])
+            i += 1
+            continue
+        convert = options[name][0]
+        if convert.__class__ is tuple:
+            if value not in convert:
+                choices = ", ".join(map(repr, convert))
+                _refuse(command, "argument %s: invalid choice: %r (choose from %s)"
+                        % (name, value, choices))
+        elif convert is not str:  # parse_int
+            try:
+                value = convert(value, 0, "invalid int value")
+            except ParseError as e:
+                _refuse(command, "argument %s: %s" % (name, e))
+        if command is None:  # the command, -- too, reads the rest
+            args, more = _read(argv[i + 1:], value)
+            return args, extras + more
+        given[name] = value
+        i += 1
+    missing = [n for n, (_, d, _) in options.items() if d is _REQUIRED and n not in given]
+    if missing:
+        _refuse(command, "the following arguments are required: %s" % ", ".join(missing))
+    args = types.SimpleNamespace(command=command, func=handler)
+    for name, (_, default, _) in options.items():
+        setattr(args, name.lstrip("-").replace("-", "_"), given.get(name, default))
+    return args, extras
 
 
 def main(argv=None):
     try:
-        args = build_parser().parse_args(argv)
+        args, extras = _read(sys.argv[1:] if argv is None else list(argv))
+        if extras:
+            _refuse(None, "unrecognized arguments: %s" % " ".join(extras))
     except SystemExit as e:
-        return int(e.code or 0)
+        return e.code
     try:
         return args.func(args)
     except SupportError as e:

@@ -102,9 +102,25 @@ class Fq:
         self.modulus = modulus
         # coords[x]: the coordinate tuple of code x, lowest digit first.
         self.coords = [c[::-1] for c in itertools.product(range(p), repeat=e)]
-        for x in range(1, q):
+        # The generator: the least x whose powers walk a cycle of length
+        # q - 1.  For e > 1 the codes below p are F_p, of order dividing p - 1.
+        # Where a walk can cost more than squaring to x^((q - 1)/l) for each
+        # prime l dividing q - 1, an x with such a power equal to 1 is passed
+        # over without a walk: a walk that stops short of q - 1 takes up to
+        # (q - 1)/2 products, the tests of one x about 3 per bit and prime.
+        n, primes, rest, l = q - 1, [], q - 1, 1
+        while rest > 1:
+            l += 1
+            if rest % l == 0:
+                primes.append(l)
+                while rest % l == 0:
+                    rest //= l
+        test = n // 2 > 3 * len(primes) * n.bit_length()
+        for x in range(2 if e == 1 else p, q):
+            if test and any(self._power(x, n // l) == 1 for l in primes):
+                continue
             powers = self._powers(x)
-            if len(powers) == q - 1:
+            if len(powers) == n:
                 break
         log = [None] * q
         for k, y in enumerate(powers):
@@ -148,25 +164,40 @@ class Fq:
                 return cand
         raise AssertionError("no irreducible modulus found")
 
-    def _powers(self, x):
-        """[1, x, x^2, ...] up to the multiplicative order of the code x."""
+    def _cols(self, x):
+        """The columns of the product by x, for the coordinates x: y * x has
+        the coordinates sum(map(operator.mul, y, col)) % p, one per column."""
         p = self.p
-        out = [1]
         # rows[i] = coordinates of a^i * x, so y * x = sum_i y_i rows[i].
-        rows = [self.coords[x]]
+        rows = [tuple(x)]
         for _ in range(self.e - 1):
             top = rows[-1][-1]
             shifted = (0,) + rows[-1][:-1]
             rows.append(tuple((c - top * m) % p for c, m in zip(shifted, self.modulus)))
-        cols = list(zip(*rows))
+        return list(zip(*rows))
+
+    def _power(self, x, m):
+        """The code of x^m for the code x and m >= 1: a square for each bit of
+        m below its top one, times x where the bit is set."""
+        p = self.p
+        x = y = self.coords[x]
+        for bit in bin(m)[3:]:
+            y = [sum(map(operator.mul, y, col)) % p for col in self._cols(y)]
+            if bit == "1":
+                y = [sum(map(operator.mul, y, col)) % p for col in self._cols(x)]
+        return sum(c * p**i for i, c in enumerate(y))
+
+    def _powers(self, x):
+        """[1, x, x^2, ...] up to the multiplicative order of the code x."""
+        p, mul, cols, y = self.p, operator.mul, self._cols(self.coords[x]), self.coords[x]
         place = [p**i for i in range(self.e)]
-        y = rows[0]
+        out = [1]
         while True:
-            code = sum(map(operator.mul, y, place))
+            code = sum(map(mul, y, place))
             if code == 1:
                 return out
             out.append(code)
-            y = [sum(map(operator.mul, y, col)) % p for col in cols]
+            y = [sum(map(mul, y, col)) % p for col in cols]
 
     def elem(self, value):
         """Coerce an int, read mod p, or an FqElem of this field into this

@@ -12,12 +12,13 @@ import sys
 import time
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import drinfeld
 from drinfeld import PolyA, cli
 from drinfeld.cli import SECTIONRING_WEIGHT_MAX, main
+from drinfeld.ffarith import ParseError, parse_int
 
 
 def run(capsys, *argv):
@@ -749,13 +750,13 @@ def test_sectionring_presets_need_no_witness_search_at_large_q(capsys):
     assert out.splitlines()[0] == "divisor: 13/14(1) + -12/13(inf)"
 
 
-# ---------------------------------------------------------- parser reuse
+# ------------------------------------------------------ one process, many
 
 
 def test_one_process_answers_each_request_as_a_fresh_interpreter(capsys):
-    # main builds its parser once and reuses it: an argparse error, a
-    # bound given and then left to its default, and other subcommands in
-    # turn must each print and exit as they do in a process of their own
+    # a usage error, a bound given and then left to its default, and other
+    # subcommands in turn must each print and exit as they do in a process
+    # of their own
     requests = [
         ["parity", "--q", "3", "--group", "full", "--deg-bound", "x"],
         ["parity", "--q", "3", "--group", "gamma1:T+1", "--deg-bound", "1",
@@ -918,6 +919,205 @@ def test_random_argv_exits_cleanly():
             assert out.getvalue() == "", argv
 
     check()
+
+
+# ------------------------------------------------------ the reader's oracle
+#
+# argparse, built from cli's option table, is the reference for the reader:
+# for every argv the two give the same exit code, the same stdout but for
+# help, the same stderr (argparse's usage line unwrapped) and, where both
+# read argv, the same namespace.
+
+
+def _int_type(text):
+    try:
+        return parse_int(text, 0, "invalid int value")
+    except ParseError as e:
+        raise argparse.ArgumentTypeError(str(e)) from None
+
+
+def _reference_parser():
+    parser = argparse.ArgumentParser(prog="drinfeld")
+    sub = parser.add_subparsers(dest="command", required=True)
+    for command, (handler, summary, options) in cli.COMMANDS.items():
+        sp = sub.add_parser(command, help=summary)
+        for name, (convert, default, text) in options.items():
+            kwargs = {"help": text}
+            if convert is parse_int:
+                kwargs["type"] = _int_type
+            elif convert is not str:
+                kwargs["choices"] = convert
+            if name[0] == "-":
+                if default is cli._REQUIRED:
+                    kwargs["required"] = True
+                else:
+                    kwargs["default"] = default
+            sp.add_argument(name, **kwargs)
+        sp.set_defaults(func=handler)
+    return parser
+
+
+_REFERENCE = _reference_parser()
+
+
+def _captured(call, argv):
+    """call(argv) with its output captured: (its result or the code of the
+    SystemExit it raised, stdout, stderr)."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            result = call(list(argv))
+        except SystemExit as e:
+            result = e.code
+    return result, out.getvalue(), err.getvalue()
+
+
+def _same_as_argparse(argv):
+    saved, cli._read = cli._read, lambda argv: (_REFERENCE.parse_args(argv), [])
+    try:
+        expected = _captured(main, argv)
+    finally:
+        cli._read = saved
+    got = _captured(main, argv)
+    assert got[0] == expected[0], (argv, got, expected)
+    if not expected[1].startswith("usage:"):  # help text is the reader's own
+        assert got[1:] == expected[1:], argv
+    parsed = _captured(_REFERENCE.parse_args, argv)[0]
+    if isinstance(parsed, argparse.Namespace):
+        args, extras = _captured(cli._read, argv)[0]
+        assert (vars(args), extras) == (vars(parsed), []), argv
+    return got
+
+
+# (argv, exit code): first the argv that argparse decides otherwise than a
+# reader with no refusal of option-like values, no --, no help and no
+# ambiguous prefixes; then a repeat, a -- after the series, =, a negative
+# number, a unique prefix and a lone -.
+_ROWS = [
+    (("cusps", "--q", "9", "--modulus", "-2,0,1", "--group", "full"), 2),
+    (("split", "--q", "5", "--k", "4", "--", "-u^2"), 0),
+    (("cusps", "-h"), 0),
+    (("cusps", "--help"), 0),
+    (("valence", "--q", "5", "--k", "4", "--v", "1"), 2),
+    (("cusps", "--q", "5", "--group", "-x"), 2),
+    (("cusps", "--q", "3", "--q", "5", "--group", "full"), 0),
+    (("split", "--q", "5", "--k", "4", "u^2", "--"), 0),
+    (("valence", "--q", "5", "--k=4", "--v-e", "-0"), 0),
+    (("cusps", "--q", "5", "--gr", "gamma0:T"), 0),
+    (("split", "--q", "5", "--k", "4", "-"), 2),
+]
+
+
+@pytest.mark.parametrize("argv, code", _ROWS, ids=[" ".join(a) for a, _ in _ROWS])
+def test_the_reader_decides_each_row_as_argparse_does(monkeypatch, argv, code):
+    monkeypatch.setenv("COLUMNS", "1000")  # argparse's usage on one line
+    assert _same_as_argparse(argv)[0] == code
+
+
+_OPTION_LIKE = ["-2,0,1", "-x", "-4", "-1.5", "-", "--", "-h", "-hh", "-hx", "-h=h", "- 2", "--q"]
+
+
+@st.composite
+def _wide_argv(draw):
+    """An argv of `_argv`, then a few of: --name=value, a prefix of a name,
+    an option-like or negative value, a --, a repeat, an extra argument, help,
+    and no command or an unknown one."""
+    argv = draw(_argv())
+    edits = st.sampled_from((0, 0, 1, 1, 1, 2, 2, 3, 4, 5, 6, 7, 8, 9, 9))
+    for edit in draw(st.lists(edits, max_size=3)):
+        at = draw(st.integers(0, len(argv)))
+        flags = [i for i, tok in enumerate(argv) if tok.startswith("--") and i + 1 < len(argv)]
+        if edit == 0 and flags:
+            i = draw(st.sampled_from(flags))
+            argv[i:i + 2] = [argv[i] + "=" + argv[i + 1]]
+        elif edit == 1 and flags:
+            i = draw(st.sampled_from(flags))
+            argv[i] = argv[i][:draw(st.integers(2, len(argv[i])))]
+        elif edit == 2:
+            flag = draw(st.sampled_from(["--q", "--modulus", "--group", "--k", "--v-other"]))
+            argv[at:at] = [flag, draw(st.sampled_from(_OPTION_LIKE))]
+        elif edit == 3:
+            argv[at:at] = ["--"]
+        elif edit == 4 and flags:
+            value = draw(st.sampled_from(["3", "5", "0", "2", "json", "full", "gamma0:T", "u^2"]))
+            argv += [argv[draw(st.sampled_from(flags))], value]
+        elif edit == 5:
+            argv.insert(at, draw(st.sampled_from(["u^2", "5", "-", "extra"])))
+        elif edit == 6:
+            helps = ["-h", "--help", "--he", "-hh", "--help=", "-hx"]
+            argv.insert(at, draw(st.sampled_from(helps)))
+        elif edit == 7:
+            argv = argv[1:]
+        elif edit == 8:
+            argv[0] = draw(st.sampled_from(["frobnicate", "cusp", "", "-1"]))
+        elif edit == 9:
+            argv.insert(at, draw(st.sampled_from(_OPTION_LIKE + ["--v", "--=1", "--k-"])))
+    return argv
+
+
+def test_the_reader_reads_random_argv_as_argparse_does(monkeypatch):
+    monkeypatch.setenv("COLUMNS", "1000")
+
+    @settings(derandomize=True, max_examples=1500, deadline=None)
+    @given(_wide_argv())
+    def check(argv):
+        assume(not any(tok[:1] == "-" and tok.endswith("=--") for tok in argv))  # see below
+        _same_as_argparse(argv)
+
+    check()
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (("cusps", "--q=--", "--group", "full"), "argument --q: invalid int value"),
+        (("cusps", "--q", "5", "--group", "full", "--format=--"), "invalid choice: '--'"),
+    ],
+)
+def test_a_value_of_two_dashes_is_a_value(capsys, argv, message):
+    # argparse drops the "--" of --name=-- and stores []: a TypeError out of
+    # main for --q, the table format for --format
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert message in err
+
+
+def test_the_table_keeps_working_when_cli_names_are_rebound(capsys, monkeypatch):
+    # perfbench's tracer rebinds the library names in cli to wrappers, while
+    # the option table holds the functions themselves
+    monkeypatch.setattr(cli, "parse_int", lambda *args: parse_int(*args))
+    code, out, _ = run(capsys, "cusps", "--q", "5", "--group", "full")
+    assert (code, out.splitlines()[0]) == (0, "count: 1")
+    _, _, err = run(capsys, "cusps", "--q", "x", "--group", "full")
+    assert "argument --q: invalid int value" in err
+
+
+# ------------------------------------------------------------------ help
+
+
+def test_drinfeld_help_lists_the_commands(capsys):
+    for flag in ("-h", "--help"):
+        code, out, err = run(capsys, flag)
+        assert (code, err) == (0, "")
+        for command, (_, text, _) in cli.COMMANDS.items():
+            assert "  %-24s %s\n" % (command, text) in out
+
+
+@pytest.mark.parametrize("command", sorted(cli.COMMANDS))
+def test_each_command_help_lists_its_options(capsys, command):
+    code, out, err = run(capsys, command, "-h")
+    assert (code, err) == (0, "")
+    assert out.startswith("usage: drinfeld %s [-h] " % command)
+    for name, (convert, default, text) in cli.COMMANDS[command][2].items():
+        line = next(line for line in out.splitlines() if line.startswith("  " + name))
+        assert text in line
+        if convert.__class__ is tuple:
+            assert "{%s}" % ",".join(convert) in line
+        if default is cli._REQUIRED:
+            assert line.endswith("(required)")
+        elif default is not None:
+            assert line.endswith("(default: %s)" % default)
+    assert "odd prime power, at most 65536 (required)" in out
 
 
 # ------------------------------------------------------------- JSON writer
